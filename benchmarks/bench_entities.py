@@ -1,15 +1,16 @@
-"""X7 — entities: transitive-closure throughput and golden-record build rate.
+"""X7 — entities: closure throughput and golden-record build rate.
 
 Two modes:
 
 - pytest-benchmark (the shared harness): a small 3-source universe,
-  timing ``IdentityGraph.clusters()`` (pairwise runs + union-find
-  closure) and ``build_entity_store`` into SQLite, asserting the build
-  verifies against its sealed fingerprint.
+  timing ``IdentityGraph.clusters()`` (ILFD extension + one group-by
+  on complete extended-key values + the consistency check) and
+  ``build_entity_store`` into SQLite, asserting the build verifies
+  against its sealed fingerprint.
 - script mode (``python benchmarks/bench_entities.py``): the
   characterisation written machine-readable to ``BENCH_entities.json``
-  — closure throughput (source rows/s through pairwise identification
-  + union-find) and golden-record build rate (entities/s persisted,
+  — closure throughput (source rows/s through extension and the
+  grouping) and golden-record build rate (entities/s persisted,
   survivorship + resolution log included) at 3×100k-entity scale
   (``--entities`` scales it down for slower hosts).  ``--smoke`` runs
   a 300-entity universe and skips the file writes (the CI check).
@@ -17,12 +18,10 @@ Two modes:
   baselines for ``repro report bench-check``.
 
 Honesty notes, recorded in the JSON itself: the universe gives every
-entity a globally unique single-attribute extended key, and the graph
-runs under the hash blocker — the bench measures the closure and build
-machinery at scale, not worst-case cross-pair identification (which
-``bench_blocking.py`` characterises).  The conformance matrix separately
-proves the blocked graph computes the same clusters as the unblocked
-one.
+entity a globally unique single-attribute extended key and carries no
+ILFDs, so the chase and the consistency check are trivial — the bench
+measures the grouping and build machinery at scale, not pairwise
+identification (which ``bench_blocking.py`` characterises).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(_REPO_ROOT / "src") not in sys.path:  # script mode
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from repro.blocking import make_blocker
 from repro.core.extended_key import ExtendedKey
 from repro.entities import (
     IdentityGraph,
@@ -83,19 +81,14 @@ def _sources(
 
 
 def _bench_closure(sources: Dict[str, Relation]) -> dict:
-    """Pairwise identification + union-find closure, rows/s."""
+    """Extension + extended-key grouping, rows/s."""
     total_rows = sum(len(rel) for rel in sources.values())
     start = time.perf_counter()
-    graph = IdentityGraph(
-        sources,
-        ExtendedKey(("name",)),
-        blocker_factory=lambda: make_blocker("hash"),
-    )
+    graph = IdentityGraph(sources, ExtendedKey(("name",)))
     clusters = graph.clusters()
     closure_s = time.perf_counter() - start
     return {
         "rows": total_rows,
-        "pairs": len(graph.pair_names()),
         "clusters": len(clusters),
         "members": sum(len(c) for c in clusters),
         "closure_s": round(closure_s, 3),
@@ -141,22 +134,14 @@ def small_sources():
 
 def test_closure(benchmark, small_sources):
     def run():
-        return IdentityGraph(
-            small_sources,
-            ExtendedKey(("name",)),
-            blocker_factory=lambda: make_blocker("hash"),
-        ).clusters()
+        return IdentityGraph(small_sources, ExtendedKey(("name",))).clusters()
 
     clusters = benchmark(run)
     assert clusters
 
 
 def test_build_store(benchmark, small_sources, tmp_path):
-    graph = IdentityGraph(
-        small_sources,
-        ExtendedKey(("name",)),
-        blocker_factory=lambda: make_blocker("hash"),
-    )
+    graph = IdentityGraph(small_sources, ExtendedKey(("name",)))
     graph.clusters()  # resolve once; the bench times persistence
     counter = iter(range(10_000))
 
@@ -242,13 +227,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "entities": args.entities,
         "sources": args.sources,
         "note": "Every entity carries a globally unique single-attribute "
-        "extended key and the graph runs under the hash blocker: the "
-        "bench characterises the pairwise-run + union-find closure and "
-        "the golden-record build/persist machinery at scale, not "
-        "worst-case cross-pair identification (see bench_blocking.py). "
-        "closure.rows_per_s counts source rows through the full "
-        "pairwise + closure pass; build.entities_per_s counts golden "
-        "records persisted with survivorship decisions and the "
+        "extended key and there are no ILFDs: the bench characterises "
+        "the one-group-by closure (ILFD extension + grouping on complete "
+        "extended-key values) and the golden-record build/persist "
+        "machinery at scale, not pairwise identification (see "
+        "bench_blocking.py). closure.rows_per_s counts source rows "
+        "through extension and grouping; build.entities_per_s counts "
+        "golden records persisted with survivorship decisions and the "
         "resolution log journaled.",
     }
     print(

@@ -36,6 +36,7 @@ from repro.conformance.differential import (
     compare_with_prototype,
     diff_journals,
     full_matrix,
+    pairwise_reference,
     pruning_cells,
     run_cell,
     run_matrix,
@@ -109,6 +110,7 @@ __all__ = [
     "compare_with_prototype",
     "diff_journals",
     "full_matrix",
+    "pairwise_reference",
     "pruning_cells",
     "run_cell",
     "run_matrix",

@@ -29,8 +29,10 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blocking import make_blocker
 from repro.blocking.executor import ParallelPairExecutor
@@ -43,6 +45,9 @@ from repro.conformance.canonical import (
 )
 from repro.conformance.errors import ConformanceError
 from repro.core.identifier import EntityIdentifier
+from repro.core.matching_table import key_values
+from repro.core.multiway import EntityCluster
+from repro.relational.relation import Relation
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.store.base import MatchStore
@@ -64,6 +69,7 @@ __all__ = [
     "run_matrix",
     "diff_journals",
     "compare_with_prototype",
+    "pairwise_reference",
     "PROLOG_PAIR_LIMIT",
 ]
 
@@ -113,10 +119,10 @@ class ConfigCell:
         When true, the workload is additionally resolved N-way (R, S,
         plus a deterministic third source sampled from R) through
         :class:`~repro.entities.IdentityGraph`: the graph's clusters
-        must be bit-identical to
-        :class:`~repro.core.multiway.MultiwayIdentifier`'s, every
-        pairwise projection must equal a fresh
-        :class:`EntityIdentifier` run, and the persisted entity build
+        must be bit-identical to the connected components of fresh
+        pairwise :class:`EntityIdentifier` matching tables
+        (:func:`pairwise_reference`), every pairwise projection must
+        equal the fresh run's matches, and the persisted entity build
         must reload, verify, rebuild to the same fingerprint, and
         answer ``/resolve`` with the golden record.
     strict:
@@ -649,6 +655,60 @@ def _run_chaos_cell(
     )
 
 
+def pairwise_reference(
+    sources: Mapping[str, Relation],
+    extended_key: Sequence[str],
+    ilfds: Sequence[Any] = (),
+) -> Tuple[List[EntityCluster], Dict[Tuple[str, str], FrozenSet[Any]]]:
+    """N-way clusters rebuilt from fresh pairwise runs — an independent oracle.
+
+    One :class:`EntityIdentifier` per source pair; the clusters are the
+    connected components of their matching tables (label propagation),
+    in :meth:`~repro.entities.IdentityGraph.clusters` order.  Returns
+    ``(clusters, {(first, second): matched key pairs})``.
+    """
+    names = list(sources)
+    rows: Dict[Tuple[int, int], Any] = {}
+    edges: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
+    matches = {}
+    for (i, first), (j, second) in combinations(enumerate(names), 2):
+        identifier = EntityIdentifier(
+            sources[first], sources[second], extended_key, ilfds=ilfds
+        )
+        table = identifier.matching_table()
+        matches[(first, second)] = frozenset(table.pairs())
+        r_at, s_at = (
+            {row: position for position, row in enumerate(relation)}
+            for relation in identifier.extended_relations()
+        )
+        for entry in table:
+            left, right = (i, r_at[entry.r_row]), (j, s_at[entry.s_row])
+            rows[left], rows[right] = entry.r_row, entry.s_row
+            edges.append((left, right))
+
+    label = {node: node for edge in edges for node in edge}
+    changed = True
+    while changed:
+        changed = False
+        for left, right in edges:
+            low = min(label[left], label[right])
+            if label[left] != low or label[right] != low:
+                label[left] = label[right] = low
+                changed = True
+    components: Dict[Tuple[int, int], List[Tuple[int, int]]] = defaultdict(list)
+    for node in sorted(label):
+        components[label[node]].append(node)
+    clusters = [
+        EntityCluster(
+            rows[members[0]].values_for(list(extended_key)),
+            tuple((names[i], rows[(i, position)]) for i, position in members),
+        )
+        for members in components.values()
+    ]
+    clusters.sort(key=lambda cluster: str(cluster.key))
+    return clusters, matches
+
+
 def _run_entities_cell(
     workload: Workload, cell: ConfigCell, workdir: str
 ) -> CellOutcome:
@@ -658,10 +718,12 @@ def _run_entities_cell(
     the ``repro.entities`` subsystem, folding the verdict into
     ``resume_consistent``:
 
-    1. graph clusters ≡ :class:`MultiwayIdentifier` clusters,
-       bit-identically (same fingerprint over keys, members, rows);
-    2. every pairwise projection of the graph ≡ a fresh
-       :class:`EntityIdentifier` run over that source pair;
+    1. graph clusters ≡ the connected components of fresh pairwise
+       :class:`EntityIdentifier` matching tables
+       (:func:`pairwise_reference`), bit-identically (same fingerprint
+       over keys, members, rows);
+    2. every pairwise projection of the graph ≡ that fresh pairwise
+       run's matches;
     3. the SQLite entity build reloads, verifies against its sealed
        fingerprint, and a rebuild produces the identical fingerprint
        (canonical ids are stable across runs);
@@ -672,14 +734,12 @@ def _run_entities_cell(
     pair run under the cell's own store backend, so the cell also
     participates in the ordinary baseline comparison.
     """
-    from repro.core.multiway import MultiwayIdentifier
     from repro.entities import (
         IdentityGraph,
         build_entity_store,
         cluster_fingerprint,
         verify_entity_store,
     )
-    from repro.relational.relation import Relation
     from repro.serving import MatchLookupService
 
     # A deterministic third source: every other R tuple (insertion
@@ -694,19 +754,12 @@ def _run_entities_cell(
     ilfds = list(workload.ilfds)
 
     graph = IdentityGraph(sources, extended_key, ilfds=ilfds)
-    multiway = MultiwayIdentifier(sources, extended_key, ilfds=ilfds)
+    reference, matches = pairwise_reference(sources, extended_key, ilfds)
     consistent = cluster_fingerprint(graph.clusters()) == cluster_fingerprint(
-        multiway.clusters()
+        reference
     )
-
-    for first, second in graph.pair_names():
-        pairwise = EntityIdentifier(
-            sources[first], sources[second], extended_key, ilfds=ilfds
-        )
-        reference = frozenset(
-            (entry.r_key, entry.s_key) for entry in pairwise.matching_table()
-        )
-        if graph.pairwise_pairs(first, second) != reference:
+    for (first, second), pairs in matches.items():
+        if graph.pairwise_pairs(first, second) != pairs:
             consistent = False
 
     path = os.path.join(workdir, f"{cell.name}.entities.sqlite")
@@ -735,8 +788,6 @@ def _run_entities_cell(
     clusters = graph.clusters()
     if clusters:
         source, row = clusters[0].members[0]
-        from repro.core.matching_table import key_values
-
         key = key_values(row, graph.source_key_attributes(source))
         with MatchLookupService(path, workers=1, cache_size=8) as service:
             answer = service.resolve(source, key)

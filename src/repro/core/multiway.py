@@ -148,10 +148,13 @@ class MultiwayIdentifier:
         self._sources: Dict[str, Relation] = dict(sources)
         self._key = extended_key
         self._ilfds = ilfds if isinstance(ilfds, ILFDSet) else ILFDSet(ilfds)
-        self._engine = DerivationEngine(self._ilfds, policy=policy)
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
+        self._engine = DerivationEngine(
+            self._ilfds, policy=policy, tracer=self._tracer
+        )
         self._extended: Optional[Dict[str, Relation]] = None
         self._groups: Optional[Dict[Tuple[Any, ...], List[Tuple[str, Row]]]] = None
+        self._clusters: Optional[List[EntityCluster]] = None
         if self._tracer.enabled:
             self._tracer.metrics.inc("multiway.sources", len(self._sources))
 
@@ -197,42 +200,68 @@ class MultiwayIdentifier:
 
     # ------------------------------------------------------------------
     def clusters(self) -> List[EntityCluster]:
-        """Matched entities: groups spanning at least two sources."""
-        out: List[EntityCluster] = []
-        for values, members in sorted(self._grouped().items(), key=lambda kv: str(kv[0])):
-            if len({name for name, _ in members}) >= 2:
-                out.append(EntityCluster(values, tuple(members)))
-        if self._tracer.enabled:
-            self._tracer.metrics.inc("multiway.clusters", len(out))
-        return out
+        """Matched entities: groups spanning at least two sources.
+
+        Computed once, sorted by the string form of the shared
+        extended-key values; members in (source declaration, row) order.
+        """
+        if self._clusters is None:
+            self._clusters = [
+                EntityCluster(values, tuple(members))
+                for values, members in self._grouped().items()
+                if len({name for name, _ in members}) >= 2
+            ]
+            self._clusters.sort(key=lambda cluster: str(cluster.key))
+            if self._tracer.enabled:
+                self._tracer.metrics.inc("multiway.clusters", len(self._clusters))
+        return self._clusters
+
+    def uniqueness_violations(
+        self,
+    ) -> Dict[str, List[Tuple[Tuple[Any, ...], List[Row]]]]:
+        """Every breach of the generalised uniqueness constraint.
+
+        Source → ``(shared extended-key values, that source's tuples
+        carrying them)``.  Sources in declaration order; within a
+        source, breaches in order of their first tuple's position.
+        """
+        found: Dict[str, List[Tuple[Tuple[Any, ...], List[Row]]]] = {
+            name: [] for name in self._sources
+        }
+        for values, members in self._grouped().items():
+            if len(members) < 2:
+                continue
+            per_source: Dict[str, List[Row]] = defaultdict(list)
+            for name, row in members:
+                per_source[name].append(row)
+            for name, rows in per_source.items():
+                if len(rows) > 1:
+                    found[name].append((values, rows))
+        for name, breaches in found.items():
+            if len(breaches) > 1:
+                position = {row: i for i, row in enumerate(self.extended()[name])}
+                breaches.sort(key=lambda breach: position[breach[1][0]])
+        return found
 
     def verify(self) -> MultiwaySoundnessReport:
         """The generalised uniqueness constraint, per source."""
-        violations: Dict[str, List[Tuple[Any, ...]]] = {
-            name: [] for name in self._sources
-        }
         with self._tracer.span("multiway.verify"):
-            for values, members in self._grouped().items():
-                per_source: Dict[str, int] = defaultdict(int)
-                for name, _ in members:
-                    per_source[name] += 1
-                for name, count in per_source.items():
-                    if count > 1:
-                        violations[name].append(values)
+            violations = {
+                name: tuple(values for values, _ in breaches)
+                for name, breaches in self.uniqueness_violations().items()
+            }
         total = sum(len(v) for v in violations.values())
         if self._tracer.enabled and total:
             self._tracer.metrics.inc("multiway.violations", total)
-        return MultiwaySoundnessReport(
-            {name: tuple(v) for name, v in violations.items()}
-        )
+        return MultiwaySoundnessReport(violations)
 
     def pairwise_pairs(self, first: str, second: str) -> FrozenSet[Tuple[KeyValues, KeyValues]]:
         """The (first, second) matches, in EntityIdentifier's pair format."""
         for name in (first, second):
             if name not in self._sources:
                 raise CoreError(f"unknown source {name!r}")
-        first_keys = self._source_key_attrs(first)
-        second_keys = self._source_key_attrs(second)
+        first_keys = self.source_key_attributes(first)
+        second_keys = self.source_key_attributes(second)
         pairs = set()
         for cluster in self.clusters():
             lefts = [row for name, row in cluster.members if name == first]
@@ -247,7 +276,8 @@ class MultiwayIdentifier:
                     )
         return frozenset(pairs)
 
-    def _source_key_attrs(self, name: str) -> Tuple[str, ...]:
+    def source_key_attributes(self, name: str) -> Tuple[str, ...]:
+        """*name*'s primary-key attributes, in schema order."""
         schema = self._sources[name].schema
         key = schema.primary_key
         return tuple(n for n in schema.names if n in key)

@@ -3,12 +3,12 @@
 The paper's machinery is pairwise (one MT_RS per R,S); real
 integrations have N sources.  This package generalizes the platform:
 
-- :class:`~repro.entities.graph.IdentityGraph` — pairwise
-  identification across all N·(N−1)/2 source pairs (reusing blockers,
-  executors, and the pairwise pipeline), closed transitively by
-  union-find into entity clusters that are **bit-identical** to
-  :class:`~repro.core.multiway.MultiwayIdentifier`'s (the
-  ``entities-graph`` conformance cell proves it), with the generalized
+- :class:`~repro.entities.graph.IdentityGraph` — one group-by on
+  complete extended-key values (delegated to
+  :class:`~repro.core.multiway.MultiwayIdentifier`) whose clusters are
+  **bit-identical** to the closure of all N·(N−1)/2 pairwise runs (the
+  ``entities-graph`` conformance cell proves it against fresh pairwise
+  runs), with the pairwise consistency check and the generalized
   uniqueness constraint (≤ 1 tuple per source per cluster) verified via
   structured reports,
 - **survivorship** (:mod:`repro.entities.survivorship`) — a pluggable,
@@ -100,8 +100,11 @@ __all__ = [
 
 for _name, _description in (
     ("entities.sources", "sources declared to identity graphs"),
-    ("entities.pairwise_runs", "pairwise identification runs executed by graphs"),
-    ("entities.clusters", "entity clusters produced by transitive closure"),
+    (
+        "entities.pairwise_runs",
+        "on-demand pairwise runs (pair_result); resolution itself runs none",
+    ),
+    ("entities.clusters", "entity clusters produced by the extended-key grouping"),
     ("entities.members", "member tuples across all produced clusters"),
     ("entities.violations", "generalized uniqueness violations detected"),
     ("entities.golden_built", "golden entity records built and persisted"),

@@ -1,37 +1,24 @@
-"""The identity graph: N-way resolution built from pairwise runs.
+"""The identity graph: N-way resolution over one extended-key grouping.
 
-:class:`~repro.core.multiway.MultiwayIdentifier` resolves N sources in
-one pass by grouping on complete extended-key values — correct, but a
-single monolithic computation that cannot reuse the pairwise machinery
-(blockers, parallel executors, per-pair soundness) the rest of the
-platform is built on.  :class:`IdentityGraph` takes the composition
-route the paper's transitivity argument licenses:
-
-1. run full pairwise identification
-   (:class:`~repro.core.identifier.EntityIdentifier`) over every one of
-   the N·(N−1)/2 source pairs,
-2. union-find the matched pairs into connected components — because a
-   match means *identical, fully non-NULL extended-key values* and
-   equality is transitive, components are exactly the equivalence
-   classes of the multiway matching relation,
-3. render components as :class:`~repro.core.multiway.EntityCluster`
-   values in the same deterministic order ``MultiwayIdentifier`` uses,
-   so the two constructions are **bit-identical** (the ``entities-graph``
-   conformance cell enforces this),
-4. verify the generalized uniqueness constraint — ≤ 1 tuple per source
-   per cluster — with structured per-source violation reports.
-
-The graph is the substrate golden records (:mod:`repro.entities.golden`)
-and the persisted entity store (:mod:`repro.entities.build`) are made
-from.
+A match is equality of complete, non-NULL extended-key values (§4.1)
+and equality is transitive, so entities are hash buckets.
+:class:`IdentityGraph` delegates ILFD extension, the grouping and the
+pairwise projections to one
+:class:`~repro.core.multiway.MultiwayIdentifier`, and adds the checks a
+pairwise run would make, structured uniqueness reports, and an
+on-demand pairwise pipeline (:meth:`IdentityGraph.pair_result`) that
+resolution itself never runs.  Golden records
+(:mod:`repro.entities.golden`) and the persisted entity store
+(:mod:`repro.entities.build`) are made from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import (
     Any,
     Callable,
@@ -46,17 +33,16 @@ from typing import (
 )
 
 from repro.blocking.base import Blocker
+from repro.core.errors import ConsistencyError
 from repro.core.extended_key import ExtendedKey
 from repro.core.identifier import EntityIdentifier, IdentificationResult
 from repro.core.matching_table import KeyValues, key_values
-from repro.core.multiway import EntityCluster
+from repro.core.multiway import EntityCluster, MultiwayIdentifier
 from repro.entities.errors import GraphError
-from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
+from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.observability.tracer import NO_OP_TRACER, Tracer
-from repro.relational.nulls import is_null
 from repro.relational.relation import Relation
-from repro.relational.row import Row
 from repro.store.codec import encode_row
 
 __all__ = [
@@ -134,45 +120,8 @@ class GraphSoundnessReport:
             )
 
 
-class _UnionFind:
-    """Plain union-find with path compression and union by size."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[Any, Any] = {}
-        self._size: Dict[Any, int] = {}
-
-    def add(self, node: Any) -> None:
-        if node not in self._parent:
-            self._parent[node] = node
-            self._size[node] = 1
-
-    def find(self, node: Any) -> Any:
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:
-            self._parent[node], node = root, self._parent[node]
-        return root
-
-    def union(self, left: Any, right: Any) -> None:
-        left, right = self.find(left), self.find(right)
-        if left == right:
-            return
-        if self._size[left] < self._size[right]:
-            left, right = right, left
-        self._parent[right] = left
-        self._size[left] += self._size[right]
-
-    def components(self) -> Dict[Any, List[Any]]:
-        """Root → members, members in insertion order."""
-        out: Dict[Any, List[Any]] = {}
-        for node in self._parent:
-            out.setdefault(self.find(node), []).append(node)
-        return out
-
-
 class IdentityGraph:
-    """N-way entity resolution by pairwise identification + closure.
+    """N-way entity resolution by one extended-key grouping.
 
     Parameters
     ----------
@@ -184,14 +133,13 @@ class IdentityGraph:
         As for :class:`~repro.core.identifier.EntityIdentifier`.
     blocker_factory:
         Optional zero-argument callable returning a fresh
-        :class:`~repro.blocking.Blocker` for each pairwise run (a
-        factory, because one blocker instance must not be shared across
-        concurrent runs).  ``None`` keeps the exact default paths.
-    workers:
-        Worker count forwarded to every pairwise run.
+        :class:`~repro.blocking.Blocker` for each on-demand pairwise
+        pipeline (:meth:`pair_identifier`).  ``None`` keeps the exact
+        default paths.  Resolution never uses it.
     tracer:
         Optional tracer; the graph emits ``entities.*`` spans and
-        metrics and threads the tracer through every pairwise pipeline.
+        metrics and shares the tracer with its grouping (``multiway.*``,
+        ``ilfd.*``) and with every pairwise pipeline.
     """
 
     def __init__(
@@ -202,7 +150,6 @@ class IdentityGraph:
         ilfds: "ILFDSet | Iterable[ILFD]" = (),
         policy: DerivationPolicy = DerivationPolicy.FIRST_MATCH,
         blocker_factory: Optional[Callable[[], Optional[Blocker]]] = None,
-        workers: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if len(sources) < 2:
@@ -215,14 +162,16 @@ class IdentityGraph:
         self._ilfds = ilfds if isinstance(ilfds, ILFDSet) else ILFDSet(ilfds)
         self._policy = policy
         self._blocker_factory = blocker_factory
-        self._workers = workers
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
-        self._engine = DerivationEngine(
-            self._ilfds, policy=policy, tracer=self._tracer
+        self._multiway = MultiwayIdentifier(
+            self._sources,
+            extended_key,
+            ilfds=self._ilfds,
+            policy=policy,
+            tracer=self._tracer,
         )
-        self._extended: Optional[Dict[str, Relation]] = None
-        self._identifiers: Dict[Tuple[str, str], EntityIdentifier] = {}
-        self._results: Dict[Tuple[str, str], IdentificationResult] = {}
+        self._identifiers: Dict[FrozenSet[str], EntityIdentifier] = {}
+        self._results: Dict[FrozenSet[str], IdentificationResult] = {}
         self._clusters: Optional[List[EntityCluster]] = None
         if self._tracer.enabled:
             self._tracer.metrics.inc("entities.sources", len(self._sources))
@@ -246,9 +195,7 @@ class IdentityGraph:
     def source_key_attributes(self, name: str) -> Tuple[str, ...]:
         """*name*'s primary-key attributes, in schema order."""
         self._check_source(name)
-        schema = self._sources[name].schema
-        key = schema.primary_key
-        return tuple(n for n in schema.names if n in key)
+        return self._multiway.source_key_attributes(name)
 
     def _check_source(self, name: str) -> None:
         if name not in self._sources:
@@ -256,33 +203,125 @@ class IdentityGraph:
                 f"unknown source {name!r}; expected one of {self._names}"
             )
 
+    def _check_pair(self, first: str, second: str) -> None:
+        self._check_source(first)
+        self._check_source(second)
+        if first == second:
+            raise GraphError(f"a source pair needs two distinct sources, got {first!r}")
+
     def extended(self) -> Dict[str, Relation]:
         """Every source extended with derived K_Ext values (computed once)."""
-        if self._extended is None:
-            targets = list(self._key.attributes)
-            with self._tracer.span("entities.extend", sources=len(self._sources)):
-                self._extended = {
-                    name: self._engine.extend_relation(relation, targets)
-                    for name, relation in self._sources.items()
-                }
-        return self._extended
+        return self._multiway.extended()
 
     # ------------------------------------------------------------------
-    # Pairwise layer
+    # Resolution
+    # ------------------------------------------------------------------
+    def clusters(self) -> List[EntityCluster]:
+        """Entity clusters, as :meth:`MultiwayIdentifier.clusters` orders them.
+
+        Raises ``ExtendedKeyError`` when some source pair can never
+        value the key, and ``ConsistencyError`` when a matched
+        cross-source pair fires an ILFD-dual distinctness rule.
+        """
+        if self._clusters is not None:
+            return self._clusters
+        with self._tracer.span("entities.closure", sources=len(self._names)):
+            derivable = {
+                attr for ilfd in self._ilfds for attr in ilfd.consequent_attributes
+            }
+            for first, second in self.pair_names():
+                self._key.check_against(
+                    self._sources[first], self._sources[second], derivable=derivable
+                )
+            clusters = self._multiway.clusters()
+            self._check_consistency(clusters)
+        self._clusters = clusters
+        if self._tracer.enabled:
+            self._tracer.metrics.inc("entities.clusters", len(clusters))
+            self._tracer.metrics.inc(
+                "entities.members", sum(len(c) for c in clusters)
+            )
+        return clusters
+
+    def _check_consistency(self, clusters: Sequence[EntityCluster]) -> None:
+        """No matched cross-source pair may fire an ILFD dual (Proposition 1).
+
+        The dual of ``X → (B=b)`` declares x and y distinct when X holds
+        in x and y binds B to a value other than b.  ILFDs are indexed by
+        one antecedent condition, so this costs O(|MT|), not an NMT.
+        """
+        by_condition: Dict[Tuple[str, Any], List[ILFD]] = defaultdict(list)
+        for ilfd in self._ilfds:
+            anchor = min(ilfd.antecedent)
+            by_condition[(anchor.attribute, anchor.value)].append(ilfd)
+        for cluster in clusters:
+            for (source, row), (other_source, other) in permutations(
+                cluster.members, 2
+            ):
+                if source == other_source:
+                    continue
+                for item in row.items():
+                    for ilfd in by_condition.get(item, ()):
+                        if ilfd.antecedent_holds_in(row) and any(
+                            cond.contradicts(other) for cond in ilfd.consequent
+                        ):
+                            raise ConsistencyError(
+                                f"{source} and {other_source} tuples share "
+                                f"extended-key values {cluster.key!r} but the "
+                                f"dual of ILFD {ilfd!r} declares them distinct"
+                            )
+
+    def pairwise_pairs(
+        self, first: str, second: str
+    ) -> FrozenSet[Tuple[KeyValues, KeyValues]]:
+        """The (first, second) matches as EntityIdentifier-format pairs.
+
+        The pairwise *projection* of :meth:`clusters` — equal to what a
+        fresh ``EntityIdentifier`` run over the two sources matches —
+        raising whatever :meth:`clusters` raises.
+        """
+        self._check_pair(first, second)
+        self.clusters()
+        return self._multiway.pairwise_pairs(first, second)
+
+    def verify(self) -> GraphSoundnessReport:
+        """The generalized uniqueness constraint, structured per source.
+
+        Read off the shared grouping, so a source modelling an entity
+        twice is reported even when no other source shares the key.
+        """
+        with self._tracer.span("entities.verify"):
+            violations = tuple(
+                UniquenessViolation(
+                    name,
+                    values,
+                    tuple(
+                        key_values(row, self.source_key_attributes(name))
+                        for row in rows
+                    ),
+                )
+                for name, breaches in self._multiway.uniqueness_violations().items()
+                for values, rows in breaches
+            )
+        if self._tracer.enabled and violations:
+            self._tracer.metrics.inc("entities.violations", len(violations))
+        return GraphSoundnessReport(violations)
+
+    def fingerprint(self) -> str:
+        """Canonical fingerprint of this graph's clusters."""
+        return cluster_fingerprint(self.clusters())
+
+    # ------------------------------------------------------------------
+    # On-demand pairwise pipeline
     # ------------------------------------------------------------------
     def pair_names(self) -> List[Tuple[str, str]]:
         """All source pairs, in declaration order."""
         return list(combinations(self._names, 2))
 
     def pair_identifier(self, first: str, second: str) -> EntityIdentifier:
-        """The (cached) pairwise pipeline for one source pair."""
-        self._check_source(first)
-        self._check_source(second)
-        if first == second:
-            raise GraphError(f"a source pair needs two distinct sources, got {first!r}")
-        if (second, first) in self._identifiers:
-            first, second = second, first
-        pair = (first, second)
+        """The (cached) pairwise pipeline for one source pair, either order."""
+        self._check_pair(first, second)
+        pair = frozenset((first, second))
         if pair not in self._identifiers:
             blocker = self._blocker_factory() if self._blocker_factory else None
             self._identifiers[pair] = EntityIdentifier(
@@ -293,136 +332,16 @@ class IdentityGraph:
                 policy=self._policy,
                 tracer=self._tracer,
                 blocker=blocker,
-                workers=self._workers,
             )
         return self._identifiers[pair]
 
     def pair_result(self, first: str, second: str) -> IdentificationResult:
-        """The (cached) pairwise identification result for one pair."""
+        """The (cached) full pairwise identification of one pair (MT, NMT)."""
         identifier = self.pair_identifier(first, second)
-        if (second, first) in self._results:
-            first, second = second, first
-        pair = (first, second)
+        pair = frozenset((first, second))
         if pair not in self._results:
             with self._tracer.span("entities.pairwise", first=first, second=second):
                 self._results[pair] = identifier.run()
             if self._tracer.enabled:
                 self._tracer.metrics.inc("entities.pairwise_runs")
         return self._results[pair]
-
-    def pairwise_pairs(
-        self, first: str, second: str
-    ) -> FrozenSet[Tuple[KeyValues, KeyValues]]:
-        """The (first, second) matches as EntityIdentifier-format pairs.
-
-        The pairwise *projection* of the graph — by construction equal
-        to what a fresh ``EntityIdentifier`` run over the two sources
-        produces, and to ``MultiwayIdentifier.pairwise_pairs``.
-        """
-        result = self.pair_result(first, second)
-        return frozenset(
-            (entry.r_key, entry.s_key) for entry in result.matching
-        )
-
-    # ------------------------------------------------------------------
-    # Closure layer
-    # ------------------------------------------------------------------
-    def clusters(self) -> List[EntityCluster]:
-        """Entity clusters: transitive closure of all pairwise matches.
-
-        Returned in the same deterministic order as
-        :meth:`MultiwayIdentifier.clusters` — sorted by the string form
-        of the shared extended-key values, members in (source
-        declaration, row) order — so the two are comparable entry by
-        entry.
-        """
-        if self._clusters is not None:
-            return self._clusters
-
-        extended = self.extended()
-        key_attrs = list(self._key.attributes)
-        # Node = (source declaration index, row index): cheap, hashable,
-        # and its natural sort order IS the deterministic member order.
-        uf = _UnionFind()
-        index_of: Dict[Tuple[str, KeyValues], Tuple[int, int]] = {}
-        rows: Dict[Tuple[int, int], Row] = {}
-        for s_idx, name in enumerate(self._names):
-            s_key_attrs = self.source_key_attributes(name)
-            for r_idx, row in enumerate(extended[name]):
-                values = row.values_for(key_attrs)
-                if any(is_null(v) for v in values):
-                    continue
-                node = (s_idx, r_idx)
-                uf.add(node)
-                rows[node] = row
-                index_of[(name, key_values(row, s_key_attrs))] = node
-
-        with self._tracer.span("entities.closure", pairs=len(self.pair_names())):
-            for first, second in self.pair_names():
-                for r_key, s_key in self.pairwise_pairs(first, second):
-                    left = index_of.get((first, r_key))
-                    right = index_of.get((second, s_key))
-                    if left is None or right is None:
-                        # A matched tuple the extended relations do not
-                        # carry would mean the pairwise run and the graph
-                        # disagree about the sources — never expected.
-                        raise GraphError(
-                            f"match ({first}:{r_key!r}, {second}:{s_key!r}) "
-                            "references a tuple with no graph node"
-                        )
-                    uf.union(left, right)
-
-            clusters: List[EntityCluster] = []
-            for members in uf.components().values():
-                ordered = sorted(members)
-                if len({s_idx for s_idx, _ in ordered}) < 2:
-                    continue  # single-source groups are not matched entities
-                member_rows = tuple(
-                    (self._names[s_idx], rows[(s_idx, r_idx)])
-                    for s_idx, r_idx in ordered
-                )
-                key = member_rows[0][1].values_for(key_attrs)
-                clusters.append(EntityCluster(key, member_rows))
-            clusters.sort(key=lambda cluster: str(cluster.key))
-
-        self._clusters = clusters
-        if self._tracer.enabled:
-            self._tracer.metrics.inc("entities.clusters", len(clusters))
-            self._tracer.metrics.inc(
-                "entities.members", sum(len(c) for c in clusters)
-            )
-        return clusters
-
-    def verify(self) -> GraphSoundnessReport:
-        """The generalized uniqueness constraint, structured per source.
-
-        Checked over the extended sources directly (not just the
-        clusters), so a source modelling an entity twice is reported
-        even when no other source shares the key — the same semantics
-        as ``MultiwayIdentifier.verify``.
-        """
-        key_attrs = list(self._key.attributes)
-        violations: List[UniquenessViolation] = []
-        with self._tracer.span("entities.verify"):
-            for name in self._names:
-                s_key_attrs = self.source_key_attributes(name)
-                groups: Dict[Tuple[Any, ...], List[KeyValues]] = {}
-                for row in self.extended()[name]:
-                    values = row.values_for(key_attrs)
-                    if any(is_null(v) for v in values):
-                        continue
-                    groups.setdefault(values, []).append(
-                        key_values(row, s_key_attrs)
-                    )
-                for values, members in groups.items():
-                    if len(members) > 1:
-                        violations.append(
-                            UniquenessViolation(name, values, tuple(members))
-                        )
-        if self._tracer.enabled and violations:
-            self._tracer.metrics.inc("entities.violations", len(violations))
-        return GraphSoundnessReport(tuple(violations))
-
-    def fingerprint(self) -> str:
-        """Canonical fingerprint of this graph's clusters."""
-        return cluster_fingerprint(self.clusters())

@@ -265,3 +265,57 @@ class TestConflictPolicies:
         assert metrics.counter("multiway.sources") == 3
         assert metrics.counter("multiway.clusters") >= 1
         assert metrics.counter("multiway.conflicts") >= 1
+
+
+class TestMultiwayMetrics:
+    @pytest.fixture
+    def traced(self, three_sources, example3):
+        from repro.observability import Tracer
+
+        tracer = Tracer()
+        multiway = MultiwayIdentifier(
+            three_sources,
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+            tracer=tracer,
+        )
+        return multiway, tracer.metrics
+
+    def test_clusters_counted_once(self, traced):
+        multiway, metrics = traced
+        multiway.clusters()
+        multiway.conflicts()
+        multiway.integrate()
+        assert metrics.counter("multiway.clusters") == len(multiway.clusters())
+
+    def test_ilfd_metrics_emitted(self, traced, three_sources):
+        multiway, metrics = traced
+        multiway.clusters()
+        assert metrics.counter("ilfd.rows_extended") == sum(
+            len(relation) for relation in three_sources.values()
+        )
+        assert metrics.counter("ilfd.firings") > 0
+
+    def test_violations_in_order_of_first_appearance(self, example3):
+        # B's Mughalai duplicates come first within B, though R's tuples
+        # put the Hunan key first in the shared grouping.
+        b = rel(
+            ["name", "speciality", "note"],
+            [
+                ("Anjuman", "Mughalai", "a"),
+                ("TwinCities", "Hunan", "b"),
+                ("Anjuman", "Mughalai", "c"),
+                ("TwinCities", "Hunan", "d"),
+            ],
+            ("name", "speciality", "note"),
+            "B",
+        )
+        multiway = MultiwayIdentifier(
+            {"R": example3.r, "B": b},
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+        )
+        assert [key[0] for key in multiway.verify().violations["B"]] == [
+            "Anjuman",
+            "TwinCities",
+        ]

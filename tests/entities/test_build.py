@@ -274,3 +274,17 @@ class TestObservability:
         assert tracer.metrics.counter("entities.golden_built") == 3
         assert tracer.metrics.counter("entities.decisions_logged") > 0
         assert "entities.build" in {span.name for span in tracer.spans()}
+
+    def test_traced_build_runs_no_pairwise_pipeline(self, three_sources, example3):
+        tracer = Tracer()
+        graph = IdentityGraph(
+            three_sources,
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+            tracer=tracer,
+        )
+        build_entity_store(graph, MemoryStore(), tracer=tracer)
+        names = {span.name for span in tracer.spans()}
+        assert tracer.metrics.counter("entities.pairwise_runs") == 0
+        assert not {name for name in names if name.startswith("identify.")}
+        assert {"entities.closure", "entities.build"} <= names

@@ -162,6 +162,21 @@ class TestEntitiesBuild:
         )
         assert status == 2
 
+    def test_matched_pair_declared_distinct_is_fatal(self, tmp_path, capsys):
+        # Both sources store cuisine=Thai for a Hunan restaurant, which
+        # the speciality=Hunan -> cuisine=Chinese ILFD's dual contradicts.
+        args = ["entities", "build", str(tmp_path / "e.sqlite")]
+        for name in ("A", "B"):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("name,speciality,cuisine\nTwinCities,Hunan,Thai\n")
+            args += ["--source", f"{name}={path}", "--key", f"{name}=name,speciality"]
+        args += [
+            "--extended-key", "name,cuisine,speciality",
+            "--ilfd", "speciality=Hunan -> cuisine=Chinese",
+        ]
+        assert main(args) == 2
+        assert "TwinCities" in capsys.readouterr().err
+
     def test_show_without_build_is_fatal(self, tmp_path, capsys):
         from repro.store import SqliteStore
 

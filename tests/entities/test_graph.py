@@ -1,10 +1,11 @@
-"""IdentityGraph: pairwise runs + union-find closure ≡ MultiwayIdentifier."""
+"""IdentityGraph: one extended-key grouping ≡ closure of pairwise runs."""
 
 import pytest
 
 from repro.blocking import make_blocker
+from repro.conformance import pairwise_reference
+from repro.core.errors import ConsistencyError, ExtendedKeyError
 from repro.core.identifier import EntityIdentifier
-from repro.core.multiway import MultiwayIdentifier
 from repro.entities import (
     GraphError,
     IdentityGraph,
@@ -33,16 +34,14 @@ class TestConstruction:
 
 
 class TestMultiwayEquivalence:
-    """The tentpole invariant: graph clusters ≡ multiway clusters, bitwise."""
+    """The graph's grouping ≡ connected components of pairwise runs, bitwise."""
 
-    def test_clusters_bit_identical_to_multiway(self, graph, three_sources, example3):
-        multiway = MultiwayIdentifier(
-            three_sources, example3.extended_key, ilfds=list(example3.ilfds)
+    def test_clusters_equal_pairwise_components(self, graph, three_sources, example3):
+        reference, _ = pairwise_reference(
+            three_sources, example3.extended_key, list(example3.ilfds)
         )
-        assert cluster_fingerprint(graph.clusters()) == cluster_fingerprint(
-            multiway.clusters()
-        )
-        assert graph.fingerprint() == cluster_fingerprint(multiway.clusters())
+        assert cluster_fingerprint(graph.clusters()) == cluster_fingerprint(reference)
+        assert graph.fingerprint() == cluster_fingerprint(reference)
 
     def test_clusters_span_expected_sources(self, graph):
         spans = {c.key[0]: set(c.sources) for c in graph.clusters()}
@@ -67,17 +66,6 @@ class TestMultiwayEquivalence:
             c.key for c in backward.clusters()
         ]
 
-    def test_blocker_and_workers_do_not_change_clusters(
-        self, three_sources, example3, graph
-    ):
-        blocked = IdentityGraph(
-            three_sources,
-            example3.extended_key,
-            ilfds=list(example3.ilfds),
-            blocker_factory=lambda: make_blocker("hash"),
-            workers=2,
-        )
-        assert blocked.fingerprint() == graph.fingerprint()
 
 
 class TestPairwiseProjections:
@@ -96,6 +84,18 @@ class TestPairwiseProjections:
                 second,
             )
 
+    def test_blocked_pair_runs_agree_with_projection(self, three_sources, example3):
+        blocked = IdentityGraph(
+            three_sources,
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+            blocker_factory=lambda: make_blocker("hash"),
+        )
+        for first, second in blocked.pair_names():
+            result = blocked.pair_result(first, second)
+            assert blocked.pair_identifier(first, second).blocker is not None
+            assert result.matching.pairs() == blocked.pairwise_pairs(first, second)
+
     def test_pair_lookup_symmetric_and_cached(self, graph):
         assert graph.pair_identifier("R", "S") is graph.pair_identifier("S", "R")
         assert graph.pair_result("R", "S") is graph.pair_result("S", "R")
@@ -103,6 +103,8 @@ class TestPairwiseProjections:
     def test_unknown_pair_rejected(self, graph):
         with pytest.raises(GraphError):
             graph.pairwise_pairs("R", "nope")
+        with pytest.raises(GraphError):
+            graph.pairwise_pairs("R", "R")
         with pytest.raises(GraphError):
             graph.pair_identifier("R", "R")
 
@@ -139,6 +141,56 @@ class TestSoundness:
             report.raise_if_unsound()
 
 
+class TestPairwiseChecks:
+    """What a pairwise run rejected, the single grouping still rejects."""
+
+    @staticmethod
+    def thai_twincities(name):
+        # Stored cuisine contradicts I1 (speciality=Hunan -> cuisine=Chinese).
+        return rel(
+            ["name", "speciality", "cuisine"],
+            [("TwinCities", "Hunan", "Thai")],
+            ("name", "speciality"),
+            name,
+        )
+
+    def test_matched_pair_declared_distinct_raises(self, example3):
+        graph = IdentityGraph(
+            {"A": self.thai_twincities("A"), "B": self.thai_twincities("B")},
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+        )
+        with pytest.raises(ConsistencyError, match="I1"):
+            graph.clusters()
+        with pytest.raises(ConsistencyError):
+            graph.pairwise_pairs("A", "B")
+
+    def test_same_source_pairs_are_not_checked(self, example3):
+        # I7's dual (street=FrontAve. vs county≠Ramsey) fires only between
+        # A's two tuples: a uniqueness breach, not a consistency one — no
+        # pairwise run ever compares two tuples of one source.
+        a = rel(
+            ["name", "street", "county"],
+            [("Zorba", "FrontAve.", "Ramsey"), ("Zorba", "Elm", "Hennepin")],
+            ("name", "street"),
+            "A",
+        )
+        b = rel(["name", "county"], [("Zorba", "Ramsey")], ("name",), "B")
+        graph = IdentityGraph(
+            {"A": a, "B": b}, ["name"], ilfds=list(example3.ilfds)
+        )
+        [cluster] = graph.clusters()
+        assert cluster.sources == ("A", "A", "B")
+        assert set(graph.verify().by_source()) == {"A"}
+
+    def test_unusable_extended_key_raises(self, three_sources, example3):
+        graph = IdentityGraph(
+            three_sources, ["name", "nope"], ilfds=list(example3.ilfds)
+        )
+        with pytest.raises(ExtendedKeyError, match="nope"):
+            graph.clusters()
+
+
 class TestObservability:
     def test_metrics_emitted(self, three_sources, example3):
         tracer = Tracer()
@@ -151,11 +203,15 @@ class TestObservability:
         clusters = graph.clusters()
         metrics = tracer.metrics
         assert metrics.counter("entities.sources") == 3
-        assert metrics.counter("entities.pairwise_runs") == 3
+        assert metrics.counter("entities.pairwise_runs") == 0
         assert metrics.counter("entities.clusters") == len(clusters)
         assert metrics.counter("entities.members") == sum(
             len(c) for c in clusters
         )
+        assert metrics.counter("ilfd.rows_extended") == sum(
+            len(relation) for relation in three_sources.values()
+        )
+        assert metrics.counter("ilfd.firings") > 0
 
     def test_spans_cover_the_phases(self, three_sources, example3):
         tracer = Tracer()
@@ -166,4 +222,17 @@ class TestObservability:
             tracer=tracer,
         ).clusters()
         names = {span.name for span in tracer.spans()}
-        assert {"entities.extend", "entities.pairwise", "entities.closure"} <= names
+        assert {"multiway.extend", "multiway.cluster", "entities.closure"} <= names
+        assert not {name for name in names if name.startswith("identify.")}
+        assert "entities.pairwise" not in names
+
+    def test_pair_result_is_the_only_pairwise_run(self, three_sources, example3):
+        tracer = Tracer()
+        graph = IdentityGraph(
+            three_sources,
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+            tracer=tracer,
+        )
+        graph.pair_result("R", "S")
+        assert tracer.metrics.counter("entities.pairwise_runs") == 1
