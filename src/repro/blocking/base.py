@@ -154,10 +154,9 @@ class Blocker(abc.ABC):
 
     Subclasses guarantee: every pair the *exact-equality* identity path
     (the extended-key rule over ILFD-extended rows) would declare a match
-    is in the candidate set.  Blockers may prune pairs that only a
-    non-equality rule, or a distinctness rule, would classify — callers
-    electing a non-exhaustive blocker accept that the negative matching
-    table is restricted to candidates (see docs/BLOCKING.md).
+    is in the candidate set.  :class:`~repro.core.EntityIdentifier` uses
+    a blocker only for the negative matching table, which a pruning
+    blocker restricts to its candidates (see docs/BLOCKING.md).
     """
 
     name: str = "blocker"

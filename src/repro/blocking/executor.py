@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.blocking.base import IndexPair
+from repro.blocking.base import CandidatePairs, IndexPair
 from repro.blocking.errors import BlockingError, MergeConsistencyError
 from repro.observability.tracer import NO_OP_TRACER, Tracer
 from repro.relational.nulls import Maybe
@@ -263,7 +263,13 @@ class ParallelPairExecutor:
         """
         identity = tuple(identity_rules)
         distinctness = tuple(distinctness_rules)
-        pairs = list(candidates)
+        # A CandidatePairs stream is re-iterable and knows its count, so the
+        # serial path never materialises it: a cross product stays lazy.
+        pairs = (
+            candidates
+            if isinstance(candidates, CandidatePairs)
+            else list(candidates)
+        )
         tracer = self._tracer
         quarantined: List[Tuple[IndexPair, str]] = []
         recovered = 0
@@ -296,7 +302,7 @@ class ParallelPairExecutor:
                     )
                 batches = 1 if pairs else 0
             else:
-                chunks = self._batches(pairs)
+                chunks = self._batches(list(pairs))
                 batches = len(chunks)
                 results, quarantined, recovered, crashes = self._run_batches(
                     chunks, r_rows, s_rows, identity, distinctness
@@ -323,6 +329,10 @@ class ParallelPairExecutor:
             metrics = tracer.metrics
             metrics.inc("executor.batches", batches)
             metrics.inc("executor.pairs_evaluated", len(pairs))
+            metrics.inc("rules.identity_evaluations", len(pairs) * len(identity))
+            metrics.inc(
+                "rules.distinctness_evaluations", len(pairs) * len(distinctness)
+            )
             if batches:
                 metrics.observe("executor.batch_pairs", -(-len(pairs) // batches))
             if crashes:

@@ -115,8 +115,9 @@ Exit codes, uniform across subcommands:
 - **1** — degraded or partial: the pipeline finished but something
   needs attention — an unsound extended key, quarantined pairs, a
   stale-served source, or a session rebuilt by ``--salvage``.
-- **2** — fatal: bad usage, unreadable input, an unwritable trace, or
-  a corrupt checkpoint that was not (or could not be) salvaged.
+- **2** — fatal: bad usage, unreadable input, an unwritable trace,
+  rules that contradict each other on a matched pair under a sound key,
+  or a corrupt checkpoint that was not (or could not be) salvaged.
 
 For backward compatibility, invoking without a subcommand (the historical
 ``repro-identify`` entry point) behaves exactly like ``repro identify``.
@@ -129,7 +130,8 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.blocking import BLOCKERS, make_blocker
+from repro.blocking import BLOCKERS, ParallelPairExecutor, make_blocker
+from repro.core.errors import ConsistencyError
 from repro.core.identifier import EntityIdentifier
 from repro.ilfd.conditions import parse_condition
 from repro.ilfd.ilfd import ILFD
@@ -505,10 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--blocker",
         choices=sorted(BLOCKERS),
-        help="candidate-pair generation strategy: 'cross' evaluates every "
-        "pair (historical semantics), 'hash' buckets on the extended key "
-        "(identical matching table, far fewer pairs), 'ilfd' adds "
-        "ILFD-antecedent buckets, 'snm' adds a sorted-neighborhood window",
+        help="candidate pairs for the negative matching table (the "
+        "matching table is the same under every choice): 'cross' (default) "
+        "evaluates every pair, 'hash' buckets on the extended key (far "
+        "fewer pairs), 'ilfd' adds ILFD-antecedent buckets, 'snm' adds a "
+        "sorted-neighborhood window",
     )
     parser.add_argument(
         "--workers",
@@ -516,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="evaluate candidate pairs in N parallel worker processes "
-        "(default 1 = serial; implies --blocker cross unless one is given)",
+        "(default 1 = serial)",
     )
     parser.add_argument(
         "--trace",
@@ -797,60 +800,46 @@ def identify_main(argv: Optional[Sequence[str]] = None) -> int:
         except StoreError as exc:
             print(f"repro identify: {exc}", file=sys.stderr)
             return 2
-    blocker = make_blocker(args.blocker) if args.blocker else None
-    executor = None
-    if retry is not None or injector is not None:
-        from repro.blocking.executor import ParallelPairExecutor
-
-        executor = ParallelPairExecutor(
-            args.workers,
-            tracer=tracer,
-            retry_policy=retry,
-            fault_injector=injector,
-        )
     identifier = EntityIdentifier(
         r,
         s,
         key_attributes,
         ilfds=ilfds,
         tracer=tracer,
-        blocker=blocker,
-        workers=args.workers,
-        executor=executor,
+        blocker=make_blocker(args.blocker) if args.blocker else None,
+        executor=ParallelPairExecutor(
+            args.workers,
+            tracer=tracer,
+            retry_policy=retry,
+            fault_injector=injector,
+        ),
         store=store,
     )
     from repro.resilience import ResilienceError
 
     try:
         if observing:
-            from repro.core.errors import CoreError
-
             # The full pipeline (including the negative table) so the
             # trace carries the complete match/non-match/unknown
-            # accounting. An unsound key can make run() raise
-            # (matching/negative overlap); fall back to the plain report
-            # so the outcome — and the trace recorded so far — still
-            # reach the user, with exit status 1.
-            try:
-                result = identifier.run()
-                matching, report = result.matching, result.report
-            except CoreError:
-                matching = identifier.matching_table()
-                report = identifier.verify()
+            # accounting.
+            result = identifier.run()
+            matching, report = result.matching, result.report
         else:
             matching = identifier.matching_table()
             report = identifier.verify()
-    except ResilienceError as exc:
-        # Recovery gave up: retries exhausted or an unrecoverable
-        # injected fault.  The run produced no trustworthy result.
+        if store is not None:
+            # Persist the negative table too — the journal should account
+            # for every conclusion the run reached, not just the matches.
+            identifier.negative_matching_table()
+    except (ConsistencyError, ResilienceError) as exc:
+        # Fatal either way: the rules contradict each other on some pair
+        # (a match some distinctness rule declares distinct), or recovery
+        # gave up (retries exhausted, unrecoverable injected fault).  The
+        # run produced no trustworthy result.
         print(f"repro identify: {exc}", file=sys.stderr)
         if store is not None:
             store.close()
         return 2
-    if store is not None:
-        # Persist the negative table too — the journal should account for
-        # every conclusion the run reached, not just the matches.
-        identifier.negative_matching_table()
     if args.report:
         from repro.core.report import identification_report
 
@@ -1569,6 +1558,7 @@ def conform_main(argv: Optional[Sequence[str]] = None) -> int:
                         m.summary() for m in matrix_report.mismatches
                     ],
                     "prototype_agrees": matrix_report.prototype_agrees,
+                    "reference_agrees": matrix_report.reference_agrees,
                 }
                 degraded = degraded or not matrix_report.is_green
                 if not args.quiet and not args.json:

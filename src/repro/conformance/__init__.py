@@ -38,6 +38,7 @@ from repro.conformance.differential import (
     full_matrix,
     pairwise_reference,
     pruning_cells,
+    reference_tables,
     run_cell,
     run_matrix,
     strict_matrix,
@@ -112,6 +113,7 @@ __all__ = [
     "full_matrix",
     "pairwise_reference",
     "pruning_cells",
+    "reference_tables",
     "run_cell",
     "run_matrix",
     "strict_matrix",

@@ -40,12 +40,14 @@ from repro.conformance.canonical import (
     CanonicalPair,
     CanonicalTables,
     canonical_pairs,
+    canonical_table,
     canonicalise,
     diff_pairs,
 )
 from repro.conformance.errors import ConformanceError
+from repro.conformance.oracles import Knowledge, _key_attrs
 from repro.core.identifier import EntityIdentifier
-from repro.core.matching_table import key_values
+from repro.core.matching_table import build_matching_table, key_values
 from repro.core.multiway import EntityCluster
 from repro.relational.relation import Relation
 from repro.resilience.faults import FaultInjector, FaultPlan
@@ -70,6 +72,7 @@ __all__ = [
     "diff_journals",
     "compare_with_prototype",
     "pairwise_reference",
+    "reference_tables",
     "PROLOG_PAIR_LIMIT",
 ]
 
@@ -86,8 +89,8 @@ class ConfigCell:
     name:
         Stable cell id, e.g. ``cross-thread2-sqlite``.
     blocker:
-        ``None`` for the legacy exact paths, else a
-        :data:`~repro.blocking.BLOCKERS` key.
+        ``None`` for the identifier's default (cross-product) blocker,
+        else a :data:`~repro.blocking.BLOCKERS` key.
     backend / workers:
         Pair-executor backend (``serial`` / ``thread`` / ``process``).
     store:
@@ -204,14 +207,17 @@ class MatrixReport:
     outcomes: Tuple[CellOutcome, ...]
     mismatches: Tuple[CellMismatch, ...]
     prototype_agrees: Optional[bool] = None
+    reference_agrees: Optional[bool] = None
 
     @property
     def is_green(self) -> bool:
-        """True iff every cell agreed (and the prototype, when run)."""
+        """True iff every cell agreed with the baseline, the baseline with
+        :func:`reference_tables`, and the prototype (when run)."""
         return (
             not self.mismatches
             and all(outcome.resume_consistent for outcome in self.outcomes)
             and self.prototype_agrees is not False
+            and self.reference_agrees is not False
         )
 
     @property
@@ -233,6 +239,11 @@ class MatrixReport:
             f"NMT {self.baseline.tables.nmt_fingerprint[:12]} "
             f"({len(self.baseline.tables.nmt)} pairs)"
         )
+        if self.reference_agrees is not None:
+            lines.append(
+                "  reference tables: "
+                + ("agree" if self.reference_agrees else "DISAGREE")
+            )
         for mismatch in self.mismatches:
             lines.append("  " + mismatch.summary())
         if self.prototype_agrees is not None:
@@ -259,7 +270,7 @@ def strict_matrix() -> List[ConfigCell]:
     must still land on the baseline tables bit-for-bit.
     """
     return [
-        ConfigCell("legacy-serial-memory"),
+        ConfigCell("default-serial-memory"),
         ConfigCell("cross-serial-memory", blocker="cross"),
         ConfigCell(
             "cross-thread2-memory", blocker="cross", backend="thread", workers=2
@@ -270,7 +281,7 @@ def strict_matrix() -> List[ConfigCell]:
             backend="process",
             workers=2,
         ),
-        ConfigCell("legacy-serial-sqlite", store="sqlite"),
+        ConfigCell("default-serial-sqlite", store="sqlite"),
         ConfigCell("cross-serial-sqlite", blocker="cross", store="sqlite"),
         ConfigCell(
             "cross-thread2-sqlite",
@@ -279,7 +290,7 @@ def strict_matrix() -> List[ConfigCell]:
             workers=2,
             store="sqlite",
         ),
-        ConfigCell("legacy-resume-memory", resume=True),
+        ConfigCell("default-resume-memory", resume=True),
         ConfigCell("cross-resume-sqlite", blocker="cross", resume=True,
                    store="sqlite"),
         ConfigCell(
@@ -403,9 +414,7 @@ def _make_store(cell: ConfigCell, workdir: str, retry, injector) -> MatchStore:
     raise ConformanceError(f"unknown store kind {cell.store!r}")
 
 
-def _make_executor(cell: ConfigCell, retry, injector) -> Optional[ParallelPairExecutor]:
-    if cell.backend == "serial" and cell.workers == 1 and retry is None:
-        return None
+def _make_executor(cell: ConfigCell, retry, injector) -> ParallelPairExecutor:
     return ParallelPairExecutor(
         cell.workers,
         backend=cell.backend if cell.workers > 1 else "serial",
@@ -709,6 +718,32 @@ def pairwise_reference(
     return clusters, matches
 
 
+def reference_tables(workload: Workload) -> CanonicalTables:
+    """MT/NMT computed without the pair executor — an independent oracle.
+
+    The matching table is the plain K_Ext hash join
+    (:func:`~repro.core.matching_table.build_matching_table`) over the
+    ILFD-extended relations; the negative table is the exhaustive nested
+    loop over R'×S' asking a rule engine which ILFD duals fire.  Both are
+    built from the workload's :class:`~repro.conformance.Knowledge`, so
+    the baseline cell is checked against code it does not run.
+    """
+    knowledge = Knowledge.from_workload(workload)
+    extended_r, extended_s = knowledge.extend(workload.r, workload.s)
+    r_key, s_key = _key_attrs(extended_r), _key_attrs(extended_s)
+    matching = build_matching_table(
+        extended_r, extended_s, knowledge.extended_key, r_key, s_key
+    )
+    firing = knowledge.rule_engine().firing_distinctness_rules
+    negative = canonical_pairs(
+        (key_values(r_row, r_key), key_values(s_row, s_key))
+        for r_row in extended_r
+        for s_row in extended_s
+        if firing(r_row, s_row)
+    )
+    return CanonicalTables(mt=canonical_table(matching), nmt=negative)
+
+
 def _run_entities_cell(
     workload: Workload, cell: ConfigCell, workdir: str
 ) -> CellOutcome:
@@ -854,7 +889,8 @@ def run_matrix(
 ) -> MatrixReport:
     """Run every cell and compare against the first strict cell.
 
-    The first cell must be strict (it is the baseline).  With
+    The first cell must be strict (it is the baseline); its tables must
+    in turn equal :func:`reference_tables`.  With
     *include_prototype*, paper-scale workloads (≤
     :data:`PROLOG_PAIR_LIMIT` pairs) are additionally replayed through
     the Appendix Prolog program.
@@ -872,6 +908,7 @@ def run_matrix(
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     baseline = outcomes[0]
+    reference = reference_tables(workload)
     mismatches = tuple(
         mismatch
         for outcome in outcomes[1:]
@@ -889,6 +926,7 @@ def run_matrix(
         outcomes=outcomes,
         mismatches=mismatches,
         prototype_agrees=prototype_agrees,
+        reference_agrees=reference == baseline.tables,
     )
     if tracer is not None and tracer.enabled:
         tracer.metrics.inc("conformance.cells", len(outcomes))

@@ -9,32 +9,38 @@ their extended key, and generates the integrated table T_RS."
    correspondences established at schema-integration time),
 2. extend each relation with its missing extended-key attributes, NULL by
    default, then derive values by chasing the ILFDs (R → R', S → S'),
-3. join R' and S' over *identical non-NULL* extended-key values
-   (``non_null_eq`` on every K_Ext attribute) to build the matching table,
+3. build the matching table by evaluating the identity rules over
+   hash-join candidates: a well-formed identity rule (Section 3.2) can
+   only fire on pairs that agree, non-NULL, on every attribute it
+   mentions, so hashing on those attributes finds every match,
 4. verify the soundness criteria (uniqueness constraint) like the
    prototype's ``verify`` command,
 5. evaluate distinctness rules (explicit ones plus the Proposition-1
-   duals of the ILFDs) to populate the negative matching table,
+   duals of the ILFDs) over the blocker's candidate pairs to populate
+   the negative matching table,
 6. emit the integrated table ``T_RS``.
+
+Both tables are classified by one kernel, the
+:class:`~repro.blocking.ParallelPairExecutor`; they differ only in the
+candidate pairs it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.blocking.base import Blocker, BlockingContext
-from repro.blocking.errors import MergeConsistencyError
-from repro.blocking.executor import PairEvaluation, ParallelPairExecutor
+from repro.blocking.base import Blocker, BlockingContext, CrossProductBlocker, IndexPair
+from repro.blocking.executor import ParallelPairExecutor
+from repro.blocking.strategies import ExtendedKeyHashBlocker
 from repro.core.correspondence import AttributeCorrespondence
 from repro.core.errors import ConsistencyError, CoreError
 from repro.core.extended_key import ExtendedKey
 from repro.core.matching_table import (
+    KeyValues,
     MatchEntry,
     MatchingTable,
     NegativeMatchingTable,
-    build_matching_table,
-    check_consistency,
     key_values,
 )
 from repro.core.soundness import SoundnessReport, verify_soundness
@@ -48,7 +54,7 @@ from repro.rules.distinctness import DistinctnessRule
 from repro.rules.engine import MatchStatus, RuleEngine
 from repro.rules.identity import IdentityRule
 from repro.store.base import MatchStore
-from repro.store.journal import KIND_ASSERT
+from repro.store.journal import KIND_ASSERT, KIND_IDENTITY
 
 __all__ = ["IdentificationResult", "EntityIdentifier"]
 
@@ -81,8 +87,12 @@ class IdentificationResult:
 
     @property
     def undetermined_count(self) -> int:
-        """Pairs neither matched nor declared distinct (Figure 3's middle)."""
-        return self.pair_count - len(self.matching) - len(self.negative)
+        """Pairs neither matched nor declared distinct (Figure 3's middle).
+
+        A pair in both tables (possible only under an unsound key) counts once.
+        """
+        both = sum(1 for entry in self.matching if entry.pair in self.negative)
+        return self.pair_count - len(self.matching) - len(self.negative) + both
 
     def is_complete(self) -> bool:
         """Completeness (Section 3.2): no undetermined pair remains."""
@@ -123,26 +133,19 @@ class EntityIdentifier:
         tracer; the tracer is threaded through the derivation and rule
         engines so their metrics land in the same registry.
     blocker:
-        Optional :class:`~repro.blocking.Blocker`.  When given, both
-        tables are built by classifying the blocker's candidate pairs
-        through the :class:`~repro.blocking.ParallelPairExecutor`
-        instead of the historical exhaustive paths.  With
-        :class:`~repro.blocking.ExtendedKeyHashBlocker` the matching
-        table is identical to the default path (the candidate set is
-        exactly where the extended-key rule can fire) and the negative
-        table is restricted to candidate pairs; with
-        :class:`~repro.blocking.CrossProductBlocker` both tables are
-        exactly the historical ones.  ``None`` (the default) keeps the
-        proven exact paths — themselves a K_Ext hash join, i.e.
-        recall-equivalent to the cross product — unless ``workers > 1``
-        requests parallel evaluation, which uses the cross-product
-        blocker to stay exact.
-    workers / executor:
-        Parallel pair evaluation: ``workers > 1`` builds a
-        :class:`~repro.blocking.ParallelPairExecutor` sharing this
-        pipeline's tracer; pass ``executor`` to control backend and
-        batch size yourself.  Results are deterministic and identical to
-        serial evaluation regardless of worker count.
+        The :class:`~repro.blocking.Blocker` whose candidate pairs the
+        distinctness rules are evaluated over, i.e. the bound on the
+        negative matching table.  ``None`` (the default) means
+        :class:`~repro.blocking.CrossProductBlocker`: the exact, full
+        NMT.  A pruning blocker restricts the NMT to its candidates.
+        The matching table never depends on the blocker: its candidates
+        come from the identity rules themselves, so no match is pruned.
+    executor:
+        The :class:`~repro.blocking.ParallelPairExecutor` that classifies
+        every candidate pair; defaults to a serial one sharing this
+        pipeline's tracer.  Pass one to choose workers, backend, batch
+        size, retries, or fault injection.  Results are deterministic and
+        identical to serial evaluation regardless of worker count.
     store:
         Optional :class:`~repro.store.MatchStore`.  When given, every
         table entry the pipeline produces is persisted to it with a
@@ -167,7 +170,6 @@ class EntityIdentifier:
         derive_ilfd_distinctness: bool = True,
         tracer: Optional[Tracer] = None,
         blocker: Optional[Blocker] = None,
-        workers: int = 1,
         executor: Optional[ParallelPairExecutor] = None,
         store: Optional[MatchStore] = None,
     ) -> None:
@@ -220,27 +222,20 @@ class EntityIdentifier:
             store.set_key_attributes(self._r_key_attrs, self._s_key_attrs)
             store.set_extended_key_attributes(extended_key.attributes)
 
-        self._blocker = blocker
-        if executor is not None:
-            self._executor: Optional[ParallelPairExecutor] = executor
-        elif workers > 1:
-            self._executor = ParallelPairExecutor(workers, tracer=self._tracer)
-        else:
-            self._executor = None
-        if self._blocker is None and self._executor is not None:
-            # Parallelism without an explicit blocker stays exact: the
-            # cross-product blocker preserves the historical semantics.
-            from repro.blocking.base import CrossProductBlocker
-
-            self._blocker = CrossProductBlocker()
+        self._blocker = blocker if blocker is not None else CrossProductBlocker()
+        self._executor = (
+            executor
+            if executor is not None
+            else ParallelPairExecutor(1, tracer=self._tracer)
+        )
 
         self._extended_r: Optional[Relation] = None
         self._extended_s: Optional[Relation] = None
+        self._indexed_rows: Optional[
+            Tuple[List[Row], List[Row], List[KeyValues], List[KeyValues]]
+        ] = None
         self._matching: Optional[MatchingTable] = None
         self._negative: Optional[NegativeMatchingTable] = None
-        self._evaluation: Optional[
-            Tuple[List[Row], List[Row], PairEvaluation]
-        ] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -286,13 +281,13 @@ class EntityIdentifier:
         return self._s_key_attrs
 
     @property
-    def blocker(self) -> Optional[Blocker]:
-        """The candidate-pair blocker in use (None = exact legacy paths)."""
+    def blocker(self) -> Blocker:
+        """The blocker bounding the negative matching table."""
         return self._blocker
 
     @property
-    def executor(self) -> Optional[ParallelPairExecutor]:
-        """The pair executor in use (None = serial legacy paths)."""
+    def executor(self) -> ParallelPairExecutor:
+        """The pair executor classifying every candidate pair."""
         return self._executor
 
     @property
@@ -343,113 +338,107 @@ class EntityIdentifier:
 
         return observe
 
-    def _blocked_evaluation(self) -> Tuple[List[Row], List[Row], PairEvaluation]:
-        """Classify the blocker's candidate pairs (once, cached).
+    def _indexed(
+        self,
+    ) -> Tuple[List[Row], List[Row], List[KeyValues], List[KeyValues]]:
+        """R' and S' as row lists plus their key projections (cached).
 
-        One pass produces both tables: the executor evaluates identity
-        and distinctness rules over every candidate, and the merge
-        enforces the consistency constraint (re-raised as
-        :class:`~repro.core.errors.ConsistencyError` to keep this
-        module's error contract).
+        The executor classifies ``(r_index, s_index)`` pairs; the key
+        lists turn an index pair into a table entry or a store record
+        without re-rendering a key per pair.
         """
-        if self._evaluation is not None:
-            return self._evaluation
-        assert self._blocker is not None
-        extended_r, extended_s = self.extended_relations()
-        r_rows = list(extended_r)
-        s_rows = list(extended_s)
-        context = BlockingContext.of(self._key.attributes, self._ilfds)
-        candidates = self._blocker.block(
-            r_rows, s_rows, context, tracer=self._tracer
-        )
-        executor = self._executor
-        if executor is None:
-            executor = ParallelPairExecutor(1, tracer=self._tracer)
-        store_kwargs = {}
-        if self._store is not None:
-            store_kwargs = {
-                "store": self._store,
-                "r_keys": [key_values(row, self._r_key_attrs) for row in r_rows],
-                "s_keys": [key_values(row, self._s_key_attrs) for row in s_rows],
-            }
-        try:
-            evaluation = executor.evaluate(
-                candidates,
+        if self._indexed_rows is None:
+            extended_r, extended_s = self.extended_relations()
+            r_rows = list(extended_r)
+            s_rows = list(extended_s)
+            self._indexed_rows = (
                 r_rows,
                 s_rows,
-                self._rules.identity_rules,
-                self._rules.distinctness_rules,
-                **store_kwargs,
+                [key_values(row, self._r_key_attrs) for row in r_rows],
+                [key_values(row, self._s_key_attrs) for row in s_rows],
             )
-        except MergeConsistencyError as exc:
-            raise ConsistencyError(str(exc)) from exc
-        self._evaluation = (r_rows, s_rows, evaluation)
-        return self._evaluation
+        return self._indexed_rows
+
+    def _table(self, table_type: type, pairs: Iterable[IndexPair]):
+        """A matching or negative table holding *pairs* (row indices)."""
+        r_rows, s_rows, r_keys, s_keys = self._indexed()
+        return table_type(
+            (
+                MatchEntry(r_rows[i], s_rows[j], r_keys[i], s_keys[j])
+                for i, j in pairs
+            ),
+            r_key_attributes=self._r_key_attrs,
+            s_key_attributes=self._s_key_attrs,
+        )
+
+    def _match_candidates(
+        self, r_rows: List[Row], s_rows: List[Row]
+    ) -> List[IndexPair]:
+        """Every pair some identity rule can fire on, in R-major order.
+
+        Well-formedness (Section 3.2) makes each identity rule imply
+        ``e1.A = e2.A`` for every attribute A it mentions, so it fires
+        only on pairs that agree, non-NULL, on all of them: the hash
+        join on those attributes (an absent attribute counts as NULL).
+        The union of one join per rule therefore misses no match; for
+        the extended-key rule alone it is exactly the K_Ext join.
+        """
+        join = ExtendedKeyHashBlocker()
+        pairs = set()
+        for rule in self._rules.identity_rules:
+            context = BlockingContext.of(sorted(rule.attributes))
+            pairs.update(join.candidate_pairs(r_rows, s_rows, context))
+        return sorted(pairs)
 
     def matching_table(self) -> MatchingTable:
-        """MT_RS: pairs with identical non-NULL extended-key values."""
+        """MT_RS: the pairs some identity rule (or the user) declares matching.
+
+        Every entry is checked against the distinctness rules before
+        anything reaches the store.  A matched pair some distinctness
+        rule declares distinct raises
+        :class:`~repro.core.errors.ConsistencyError` — unless the table
+        also violates uniqueness: then the extended key is unsound, such
+        spurious matches are its expected symptom, and :meth:`verify`
+        reports the key instead.
+        """
         if self._matching is not None:
             return self._matching
-        extended_r, extended_s = self.extended_relations()
+        r_rows, s_rows, _, _ = self._indexed()
         with self._tracer.span("identify.matching_table") as span:
-            if self._blocker is not None:
-                r_rows, s_rows, evaluation = self._blocked_evaluation()
-                table = MatchingTable(
-                    r_key_attributes=self.r_key_attributes,
-                    s_key_attributes=self.s_key_attributes,
-                )
-                r_keys: Dict[int, Any] = {}
-                s_keys: Dict[int, Any] = {}
-                for i, j in evaluation.matches:
-                    r_key = r_keys.get(i)
-                    if r_key is None:
-                        r_key = r_keys[i] = key_values(
-                            r_rows[i], self._r_key_attrs
-                        )
-                    s_key = s_keys.get(j)
-                    if s_key is None:
-                        s_key = s_keys[j] = key_values(
-                            s_rows[j], self._s_key_attrs
-                        )
-                    table.add(MatchEntry(r_rows[i], s_rows[j], r_key, s_key))
-                span.set("blocker", self._blocker.name)
-            else:
-                table = build_matching_table(
-                    extended_r,
-                    extended_s,
-                    list(self._key.attributes),
-                    self.r_key_attributes,
-                    self.s_key_attributes,
-                )
-                if self._store is not None:
-                    # The legacy join *is* the extended-key rule: every
-                    # entry it emits is that rule firing.
-                    rule_name = self._rules.identity_rules[0].name
-                    with self._store.transaction():
-                        for entry in table:
-                            self._store.record_match(
-                                entry.r_key,
-                                entry.s_key,
-                                entry.r_row,
-                                entry.s_row,
-                                rule=rule_name,
-                            )
-            asserted_entries = [
-                self._asserted_entry(r_keys_map, s_keys_map)
-                for r_keys_map, s_keys_map in self._asserted
+            candidates = self._match_candidates(r_rows, s_rows)
+            span.set("candidates", len(candidates))
+            evaluation = self._executor.evaluate(
+                candidates, r_rows, s_rows, self._rules.identity_rules
+            )
+            table = self._table(MatchingTable, evaluation.matches)
+            identity = self._rules.identity_rules
+            recorded = [
+                (entry, identity[index].name, KIND_IDENTITY)
+                for entry, index in zip(table, evaluation.match_rules)
             ]
-            for entry in asserted_entries:
+            for r_keys_map, s_keys_map in self._asserted:
+                entry = self._asserted_entry(r_keys_map, s_keys_map)
                 table.add(entry)
-            if self._store is not None and asserted_entries:
+                recorded.append((entry, "user-assertion", KIND_ASSERT))
+            firing = self._rules.firing_distinctness_rules
+            conflicts = [
+                entry for entry in table if firing(entry.r_row, entry.s_row)
+            ]
+            if conflicts and table.is_sound():
+                raise ConsistencyError(
+                    f"{len(conflicts)} matched pair(s) also fire a "
+                    f"distinctness rule, e.g. {conflicts[0]!r}"
+                )
+            if self._store is not None:
                 with self._store.transaction():
-                    for entry in asserted_entries:
+                    for entry, rule, kind in recorded:
                         self._store.record_match(
                             entry.r_key,
                             entry.s_key,
                             entry.r_row,
                             entry.s_row,
-                            rule="user-assertion",
-                            kind=KIND_ASSERT,
+                            rule=rule,
+                            kind=kind,
                         )
             span.set("entries", len(table))
         if self._tracer.enabled:
@@ -476,76 +465,39 @@ class EntityIdentifier:
         )
 
     def negative_matching_table(self) -> NegativeMatchingTable:
-        """NMT_RS: pairs some distinctness rule declares distinct.
+        """NMT_RS: candidate pairs some distinctness rule declares distinct.
 
-        Without a blocker, materialises the full table (O(|R'|·|S'|)
-        rule evaluations); the paper notes real systems would keep it
-        implicit, but the worked examples (Table 4) and the completeness
-        accounting need it.  With a blocker, only candidate pairs are
-        evaluated — exhaustive for :class:`CrossProductBlocker`,
-        restricted to candidates otherwise (the documented trade-off of
-        electing a pruning blocker).
+        The candidates are the blocker's.  Under the default cross
+        product this is the full table (O(|R'|·|S'|) pair evaluations);
+        the paper notes real systems would keep it implicit, but the
+        worked examples (Table 4) and the completeness accounting need
+        it.  A pruning blocker restricts it to its candidates.
         """
         if self._negative is not None:
             return self._negative
-        extended_r, extended_s = self.extended_relations()
-        table = NegativeMatchingTable(
-            r_key_attributes=self.r_key_attributes,
-            s_key_attributes=self.s_key_attributes,
-        )
+        r_rows, s_rows, r_keys, s_keys = self._indexed()
         with self._tracer.span(
             "identify.negative_matching_table",
-            pairs=len(extended_r) * len(extended_s),
+            pairs=len(r_rows) * len(s_rows),
         ) as span:
-            if self._blocker is not None:
-                r_rows, s_rows, evaluation = self._blocked_evaluation()
-                r_keys: Dict[int, Any] = {}
-                s_keys: Dict[int, Any] = {}
-                for i, j in evaluation.distinct:
-                    r_key = r_keys.get(i)
-                    if r_key is None:
-                        r_key = r_keys[i] = key_values(
-                            r_rows[i], self._r_key_attrs
-                        )
-                    s_key = s_keys.get(j)
-                    if s_key is None:
-                        s_key = s_keys[j] = key_values(
-                            s_rows[j], self._s_key_attrs
-                        )
-                    table.add(MatchEntry(r_rows[i], s_rows[j], r_key, s_key))
-                span.set("blocker", self._blocker.name)
-            else:
-                # Key projections hoisted: rendered once per row, not once
-                # per firing pair inside the O(|R'|·|S'|) loop.
-                r_entries = [
-                    (r_row, key_values(r_row, self._r_key_attrs))
-                    for r_row in extended_r
-                ]
-                s_entries = [
-                    (s_row, key_values(s_row, self._s_key_attrs))
-                    for s_row in extended_s
-                ]
-                firing = self._rules.firing_distinctness_rules
-                store = self._store
-                new_entries: List[Tuple[MatchEntry, str]] = []
-                for r_row, r_key in r_entries:
-                    for s_row, s_key in s_entries:
-                        fired = firing(r_row, s_row)
-                        if fired:
-                            entry = MatchEntry(r_row, s_row, r_key, s_key)
-                            table.add(entry)
-                            if store is not None:
-                                new_entries.append((entry, fired[0].name))
-                if store is not None and new_entries:
-                    with store.transaction():
-                        for entry, rule_name in new_entries:
-                            store.record_non_match(
-                                entry.r_key,
-                                entry.s_key,
-                                entry.r_row,
-                                entry.s_row,
-                                rule=rule_name,
-                            )
+            candidates = self._blocker.block(
+                r_rows,
+                s_rows,
+                BlockingContext.of(self._key.attributes, self._ilfds),
+                tracer=self._tracer,
+            )
+            evaluation = self._executor.evaluate(
+                candidates,
+                r_rows,
+                s_rows,
+                (),
+                self._rules.distinctness_rules,
+                store=self._store,
+                r_keys=r_keys,
+                s_keys=s_keys,
+            )
+            table = self._table(NegativeMatchingTable, evaluation.distinct)
+            span.set("blocker", self._blocker.name)
             span.set("entries", len(table))
         if self._tracer.enabled:
             self._tracer.metrics.inc("pipeline.non_matches", len(table))
@@ -595,7 +547,6 @@ class EntityIdentifier:
         with self._tracer.span("identify.run") as span:
             matching = self.matching_table()
             negative = self.negative_matching_table()
-            check_consistency(matching, negative)
             extended_r, extended_s = self.extended_relations()
             report = self.verify()
             pair_count = len(extended_r) * len(extended_s)

@@ -40,13 +40,13 @@ def _identifier(**kwargs):
 
 
 class TestIdentifierEquivalence:
-    LEGACY_MT = _identifier().matching_table().pairs()
-    LEGACY_NMT = _identifier().negative_matching_table().pairs()
+    DEFAULT_MT = _identifier().matching_table().pairs()
+    DEFAULT_NMT = _identifier().negative_matching_table().pairs()
 
     @pytest.mark.parametrize("blocker", ALL_BLOCKERS, ids=lambda b: b.name)
     def test_matching_table_identical(self, blocker):
         blocked = _identifier(blocker=blocker).matching_table().pairs()
-        assert blocked == self.LEGACY_MT
+        assert blocked == self.DEFAULT_MT
 
     def test_cross_product_negative_table_identical(self):
         blocked = (
@@ -54,7 +54,7 @@ class TestIdentifierEquivalence:
             .negative_matching_table()
             .pairs()
         )
-        assert blocked == self.LEGACY_NMT
+        assert blocked == self.DEFAULT_NMT
 
     @pytest.mark.parametrize(
         "blocker",
@@ -64,22 +64,24 @@ class TestIdentifierEquivalence:
     )
     def test_pruning_blockers_restrict_negative_table(self, blocker):
         blocked = _identifier(blocker=blocker).negative_matching_table().pairs()
-        assert blocked <= self.LEGACY_NMT
+        assert blocked <= self.DEFAULT_NMT
 
     def test_workers_without_blocker_stays_exact(self):
-        identifier = _identifier(workers=2)
+        identifier = _identifier(executor=ParallelPairExecutor(2))
         assert identifier.blocker is not None  # defaults to cross product
-        assert identifier.matching_table().pairs() == self.LEGACY_MT
-        assert identifier.negative_matching_table().pairs() == self.LEGACY_NMT
+        assert identifier.matching_table().pairs() == self.DEFAULT_MT
+        assert identifier.negative_matching_table().pairs() == self.DEFAULT_NMT
 
     def test_process_workers_with_hash_blocker(self):
-        identifier = _identifier(blocker=ExtendedKeyHashBlocker(), workers=2)
-        assert identifier.matching_table().pairs() == self.LEGACY_MT
+        identifier = _identifier(
+            blocker=ExtendedKeyHashBlocker(), executor=ParallelPairExecutor(2)
+        )
+        assert identifier.matching_table().pairs() == self.DEFAULT_MT
 
     def test_explicit_executor(self):
         executor = ParallelPairExecutor(2, backend="thread")
         identifier = _identifier(blocker=ExtendedKeyHashBlocker(), executor=executor)
-        assert identifier.matching_table().pairs() == self.LEGACY_MT
+        assert identifier.matching_table().pairs() == self.DEFAULT_MT
 
     def test_blocking_metrics_flow_to_tracer(self):
         tracer = Tracer()
@@ -87,9 +89,13 @@ class TestIdentifierEquivalence:
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["blocking.pairs_generated"] > 0
         assert counters["blocking.pairs_pruned"] > 0
-        assert counters["executor.pairs_evaluated"] == counters[
-            "blocking.pairs_generated"
-        ]
+        # One executor pass per table: the MT pass over the identity
+        # rules' hash-join candidates (here exactly the matches), then
+        # the NMT pass over the blocker's candidates.
+        mt_candidates = len(self.DEFAULT_MT)
+        assert counters["executor.pairs_evaluated"] == (
+            counters["blocking.pairs_generated"] + mt_candidates
+        )
 
     def test_merge_conflict_surfaces_as_core_error(self):
         conflicting = DistinctnessRule(

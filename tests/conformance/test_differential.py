@@ -3,12 +3,14 @@
 import pytest
 
 from repro.conformance import (
+    CanonicalTables,
     ConfigCell,
     ConformanceError,
     compare_with_prototype,
     diff_journals,
     full_matrix,
     pruning_cells,
+    reference_tables,
     run_cell,
     run_matrix,
     strict_matrix,
@@ -99,8 +101,8 @@ class TestFullMatrix:
 class TestRunCell:
     def test_cold_cell_outcome(self):
         workload = WORKLOADS["restaurants"](8, 3)
-        outcome = run_cell(workload, ConfigCell("legacy-serial-memory"))
-        assert outcome.name == "legacy-serial-memory"
+        outcome = run_cell(workload, ConfigCell("default-serial-memory"))
+        assert outcome.name == "default-serial-memory"
         assert outcome.sound
         assert outcome.journal, "journal summary must not be empty"
         kinds = {kind for kind, _, _, _ in outcome.journal}
@@ -176,6 +178,30 @@ class TestRunMatrixValidation:
         assert tracer.metrics.counter("conformance.cells") == 2
         assert tracer.metrics.counter("conformance.cell_mismatches") == 0
 
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_baseline_equals_reference_tables(self, family):
+        workload = WORKLOADS[family](10, 3)
+        outcome = run_cell(workload, ConfigCell("default-serial-memory"))
+        assert reference_tables(workload) == outcome.tables
+        report = run_matrix(workload, [outcome.cell])
+        assert report.reference_agrees is True
+        assert "reference tables: agree" in report.summary()
+
+    def test_reference_disagreement_fails_the_matrix(self, monkeypatch):
+        import repro.conformance.differential as differential
+
+        workload = WORKLOADS["restaurants"](6, 3)
+        reference = reference_tables(workload)
+        wrong = CanonicalTables(mt=reference.mt[1:], nmt=reference.nmt)
+        monkeypatch.setattr(
+            differential, "reference_tables", lambda _workload: wrong
+        )
+        report = run_matrix(workload, [ConfigCell("baseline")])
+        assert not report.mismatches
+        assert report.reference_agrees is False
+        assert not report.is_green
+        assert "reference tables: DISAGREE" in report.summary()
+
     def test_summary_names_baseline_and_fingerprints(self):
         workload = WORKLOADS["restaurants"](6, 3)
         report = run_matrix(workload, [ConfigCell("only-cell")], name="r")
@@ -234,7 +260,7 @@ class TestEntitiesCell:
 
     def test_entities_cell_agrees_with_a_plain_baseline(self):
         workload = WORKLOADS["restaurants"](8, 3)
-        baseline = run_cell(workload, ConfigCell("legacy-serial-memory"))
+        baseline = run_cell(workload, ConfigCell("default-serial-memory"))
         entities = run_cell(
             workload, ConfigCell("entities-graph", store="sqlite", entities=True)
         )

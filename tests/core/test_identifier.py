@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.blocking import CrossProductBlocker, ExtendedKeyHashBlocker
 from repro.core.correspondence import AttributeCorrespondence
-from repro.core.errors import CoreError
+from repro.core.errors import ConsistencyError, CoreError
 from repro.core.identifier import EntityIdentifier
 from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD
@@ -11,7 +12,18 @@ from repro.relational.attribute import string_attribute
 from repro.relational.nulls import NULL, is_null
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.observability import Tracer
+from repro.rules.distinctness import DistinctnessRule
 from repro.rules.engine import MatchStatus
+from repro.rules.identity import extended_key_rule
+from repro.rules.predicates import equality_predicate
+from repro.workloads import EmployeeWorkloadSpec, employee_workload
+
+BLOCKERS = [None, CrossProductBlocker(), ExtendedKeyHashBlocker()]
+
+
+def _blocker_id(blocker):
+    return "default" if blocker is None else blocker.name
 
 
 class TestExample2Pipeline:
@@ -146,6 +158,95 @@ class TestUnsoundKeys:
             example3.r, example3.s, ["name", "cuisine"], ilfds=list(example3.ilfds)
         )
         assert not identifier.verify().is_sound
+
+
+    @pytest.mark.parametrize("blocker", BLOCKERS, ids=_blocker_id)
+    def test_unsound_key_conflicts_are_reported_not_raised(
+        self, example3, blocker
+    ):
+        # {name} matches pairs the ILFD duals declare distinct; the
+        # uniqueness report names the key as the culprit on every blocker.
+        identifier = EntityIdentifier(
+            example3.r,
+            example3.s,
+            ["name"],
+            ilfds=list(example3.ilfds),
+            blocker=blocker,
+        )
+        result = identifier.run()
+        assert not result.report.is_sound
+        overlap = result.matching.pairs() & result.negative.pairs()
+        assert overlap
+        assert result.undetermined_count == (
+            result.pair_count
+            - len(result.matching.pairs() | result.negative.pairs())
+        )
+
+
+class TestRuleCandidates:
+    """The MT is evaluated over the identity rules' own hash joins."""
+
+    WORKLOAD = employee_workload(EmployeeWorkloadSpec(n_entities=30, seed=1))
+
+    def _identifier(self, **kwargs):
+        workload = self.WORKLOAD
+        return EntityIdentifier(
+            workload.r,
+            workload.s,
+            workload.extended_key,
+            ilfds=workload.ilfds,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("blocker", BLOCKERS, ids=_blocker_id)
+    def test_extra_identity_rules_match_like_classify_pair(self, blocker):
+        identifier = self._identifier(
+            identity_rules=[extended_key_rule(["name"])],
+            derive_ilfd_distinctness=False,
+            blocker=blocker,
+        )
+        matching = identifier.matching_table()
+        r_keys = identifier.r_key_attributes
+        s_keys = identifier.s_key_attributes
+        expected = {
+            (
+                tuple((a, r_row[a]) for a in sorted(r_keys)),
+                tuple((a, s_row[a]) for a in sorted(s_keys)),
+            )
+            for r_row in self.WORKLOAD.r
+            for s_row in self.WORKLOAD.s
+            if identifier.classify_pair(r_row, s_row) is MatchStatus.MATCH
+        }
+        assert matching.pairs() == expected
+        # The name-only rule finds matches the extended key alone misses.
+        assert len(matching) > len(self._identifier().matching_table())
+
+    def test_matching_table_evaluates_only_hash_candidates(self):
+        tracer = Tracer()
+        identifier = self._identifier(tracer=tracer)
+        matching = identifier.matching_table()
+        evaluated = tracer.metrics.counter("executor.pairs_evaluated")
+        # K_Ext alone: every hash candidate is a match.
+        assert evaluated == len(matching)
+        assert evaluated < len(self.WORKLOAD.r) * len(self.WORKLOAD.s)
+        assert tracer.metrics.counter("blocking.pairs_generated") == 0
+
+    @pytest.mark.parametrize("blocker", BLOCKERS, ids=_blocker_id)
+    def test_conflict_raises_before_the_store(self, blocker):
+        from repro.store.memory import MemoryStore
+
+        store = MemoryStore()
+        conflicting = DistinctnessRule(
+            [equality_predicate(a) for a in self.WORKLOAD.extended_key],
+            name="conflicts-with-identity",
+        )
+        identifier = self._identifier(
+            distinctness_rules=[conflicting], blocker=blocker, store=store
+        )
+        with pytest.raises(ConsistencyError):
+            identifier.matching_table()
+        assert store.counts()["matches"] == 0
+        assert store.counts()["non_matches"] == 0
 
 
 class TestCorrespondences:

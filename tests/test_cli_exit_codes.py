@@ -70,6 +70,43 @@ class TestIdentifyExitCodes:
              "--extended-key", "name", "--quiet"]
         ) == 1
 
+    @pytest.mark.parametrize("blocker", [[], ["--blocker", "hash"],
+                                         ["--blocker", "cross"]],
+                             ids=["default", "hash", "cross"])
+    @pytest.mark.parametrize("flags", [[], ["--metrics"], ["--store"]],
+                             ids=["plain", "metrics", "store"])
+    def test_inconsistent_rules_exit_two(
+        self, tmp_path, capsys, blocker, flags
+    ):
+        # The one pair matches on a sound key, yet the ILFD's dual says
+        # a Hunan restaurant serving Thai food is a different entity.
+        for side in ("R", "S"):
+            (tmp_path / f"{side}.csv").write_text(
+                "name,speciality,cuisine\nTwinCities,Hunan,Thai\n"
+            )
+        if flags == ["--store"]:
+            flags = ["--store", f"sqlite:{tmp_path / 'run.sqlite'}"]
+        status = main(
+            ["identify", str(tmp_path / "R.csv"), str(tmp_path / "S.csv"),
+             "--r-key", "name,cuisine", "--s-key", "name,speciality",
+             "--extended-key", "name,cuisine",
+             "--ilfd", "speciality=Hunan -> cuisine=Chinese",
+             "--quiet", *blocker, *flags]
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("repro identify: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("blocker", ["hash", "cross"])
+    def test_unsound_key_exits_one_on_every_blocker(self, csvs, blocker):
+        r_path, s_path = csvs
+        assert main(
+            ["identify", str(r_path), str(s_path), *IDENTIFY_ARGS,
+             "--extended-key", "name", "--blocker", blocker, "--metrics",
+             "--quiet"]
+        ) == 1
+
     def test_usage_error_exits_two(self, csvs, capsys):
         r_path, s_path = csvs
         assert main(
