@@ -20,9 +20,8 @@ where derivations act.
 
 Consumers: :class:`~repro.core.identifier.EntityIdentifier` (``blocker``
 / ``workers`` parameters and the ``--blocker`` / ``--workers`` CLI
-flags), :class:`~repro.federation.incremental.IncrementalIdentifier`
-(``candidate_pairs`` / ``rescan``), and
-:class:`~repro.baselines.base.BaselineMatcher` (``blocker`` attribute).
+flags) and :class:`~repro.baselines.base.BaselineMatcher` (``blocker``
+attribute).
 See ``docs/BLOCKING.md`` for the decision table.
 """
 

@@ -131,7 +131,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.blocking import BLOCKERS, ParallelPairExecutor, make_blocker
-from repro.core.errors import ConsistencyError
+from repro.core.errors import ConsistencyError, CoreError
 from repro.core.identifier import EntityIdentifier
 from repro.ilfd.conditions import parse_condition
 from repro.ilfd.ilfd import ILFD
@@ -634,7 +634,6 @@ def _identify_multiway(args) -> int:
     verdict; ``--out`` writes the integrated table merged under
     ``--on-conflict``.  Exit codes as for pairwise identify.
     """
-    from repro.core.errors import CoreError
     from repro.core.multiway import MultiwayIdentifier
 
     for flag, value in (("--store", args.store), ("--suggest-keys", args.suggest_keys)):
@@ -1142,7 +1141,7 @@ def checkpoint_main(argv: Optional[Sequence[str]] = None) -> int:
             args, retry_policy=retry, fault_injector=injector
         )
         identifier.checkpoint(args.checkpoint_file)
-    except ResilienceError as exc:
+    except (CoreError, ResilienceError) as exc:
         print(f"repro checkpoint: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:
@@ -1219,6 +1218,9 @@ def resume_main(argv: Optional[Sequence[str]] = None) -> int:
             retry_policy=retry,
             fault_injector=injector,
         )
+    except CoreError as exc:
+        print(f"repro resume: {exc}", file=sys.stderr)
+        return 2
     except (StoreError, StoreIntegrityError) as exc:
         if not args.salvage:
             print(f"repro resume: {exc}", file=sys.stderr)
@@ -1260,7 +1262,7 @@ def resume_main(argv: Optional[Sequence[str]] = None) -> int:
                     [parse_ilfd(text) for text in args.ilfd]
                 ).added
             )
-    except ResilienceError as exc:
+    except (CoreError, ResilienceError) as exc:
         print(f"repro resume: {exc}", file=sys.stderr)
         identifier.store.close()
         return 2
@@ -2400,7 +2402,6 @@ def build_entities_parser() -> argparse.ArgumentParser:
 
 
 def _entities_build(args) -> int:
-    from repro.core.errors import CoreError
     from repro.entities import (
         EntitiesError,
         IdentityGraph,

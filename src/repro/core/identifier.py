@@ -33,6 +33,7 @@ from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.blocking.base import Blocker, BlockingContext, CrossProductBlocker, IndexPair
 from repro.blocking.executor import ParallelPairExecutor
 from repro.blocking.strategies import ExtendedKeyHashBlocker
+from repro.core.consistency import check_table
 from repro.core.correspondence import AttributeCorrespondence
 from repro.core.errors import ConsistencyError, CoreError
 from repro.core.extended_key import ExtendedKey
@@ -394,12 +395,14 @@ class EntityIdentifier:
         """MT_RS: the pairs some identity rule (or the user) declares matching.
 
         Every entry is checked against the distinctness rules before
-        anything reaches the store.  A matched pair some distinctness
-        rule declares distinct raises
-        :class:`~repro.core.errors.ConsistencyError` — unless the table
-        also violates uniqueness: then the extended key is unsound, such
-        spurious matches are its expected symptom, and :meth:`verify`
-        reports the key instead.
+        anything reaches the store
+        (:func:`~repro.core.consistency.check_table`).  A matched pair
+        some distinctness rule declares distinct raises
+        :class:`~repro.core.errors.ConsistencyError` — unless it
+        witnesses a uniqueness violation (its R or S tuple is matched
+        to another tuple too): then the extended key is unsound, the
+        spurious match is its symptom, and :meth:`verify` reports the
+        key instead.
         """
         if self._matching is not None:
             return self._matching
@@ -420,15 +423,7 @@ class EntityIdentifier:
                 entry = self._asserted_entry(r_keys_map, s_keys_map)
                 table.add(entry)
                 recorded.append((entry, "user-assertion", KIND_ASSERT))
-            firing = self._rules.firing_distinctness_rules
-            conflicts = [
-                entry for entry in table if firing(entry.r_row, entry.s_row)
-            ]
-            if conflicts and table.is_sound():
-                raise ConsistencyError(
-                    f"{len(conflicts)} matched pair(s) also fire a "
-                    f"distinctness rule, e.g. {conflicts[0]!r}"
-                )
+            check_table(self._rules, table)
             if self._store is not None:
                 with self._store.transaction():
                     for entry, rule, kind in recorded:

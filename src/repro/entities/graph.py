@@ -10,6 +10,13 @@ on-demand pairwise pipeline (:meth:`IdentityGraph.pair_result`) that
 resolution itself never runs.  Golden records
 (:mod:`repro.entities.golden`) and the persisted entity store
 (:mod:`repro.entities.build`) are made from it.
+
+The consistency verdict is the pairwise one
+(:func:`~repro.core.consistency.check_matches`): a matched
+cross-source pair that fires an ILFD dual raises ``ConsistencyError``
+unless it *witnesses* a uniqueness violation (one of its two sources
+has a second tuple in the cluster); then :meth:`IdentityGraph.verify`
+reports the unsound key, as a pairwise run would.
 """
 
 from __future__ import annotations
@@ -18,13 +25,14 @@ import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -33,7 +41,7 @@ from typing import (
 )
 
 from repro.blocking.base import Blocker
-from repro.core.errors import ConsistencyError
+from repro.core.consistency import MatchCheck, check_matches, dual_rules
 from repro.core.extended_key import ExtendedKey
 from repro.core.identifier import EntityIdentifier, IdentificationResult
 from repro.core.matching_table import KeyValues, key_values
@@ -43,6 +51,7 @@ from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.observability.tracer import NO_OP_TRACER, Tracer
 from repro.relational.relation import Relation
+from repro.relational.row import Row
 from repro.store.codec import encode_row
 
 __all__ = [
@@ -163,6 +172,7 @@ class IdentityGraph:
         self._policy = policy
         self._blocker_factory = blocker_factory
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
+        self._rules = dual_rules(self._ilfds)
         self._multiway = MultiwayIdentifier(
             self._sources,
             extended_key,
@@ -221,7 +231,9 @@ class IdentityGraph:
 
         Raises ``ExtendedKeyError`` when some source pair can never
         value the key, and ``ConsistencyError`` when a matched
-        cross-source pair fires an ILFD-dual distinctness rule.
+        cross-source pair fires an ILFD-dual distinctness rule without
+        witnessing a uniqueness violation — exactly when a pairwise
+        ``EntityIdentifier`` run over that source pair would raise.
         """
         if self._clusters is not None:
             return self._clusters
@@ -234,7 +246,7 @@ class IdentityGraph:
                     self._sources[first], self._sources[second], derivable=derivable
                 )
             clusters = self._multiway.clusters()
-            self._check_consistency(clusters)
+            check_matches(self._rules, self._cross_source_matches(clusters))
         self._clusters = clusters
         if self._tracer.enabled:
             self._tracer.metrics.inc("entities.clusters", len(clusters))
@@ -243,33 +255,21 @@ class IdentityGraph:
             )
         return clusters
 
-    def _check_consistency(self, clusters: Sequence[EntityCluster]) -> None:
-        """No matched cross-source pair may fire an ILFD dual (Proposition 1).
-
-        The dual of ``X → (B=b)`` declares x and y distinct when X holds
-        in x and y binds B to a value other than b.  ILFDs are indexed by
-        one antecedent condition, so this costs O(|MT|), not an NMT.
-        """
-        by_condition: Dict[Tuple[str, Any], List[ILFD]] = defaultdict(list)
-        for ilfd in self._ilfds:
-            anchor = min(ilfd.antecedent)
-            by_condition[(anchor.attribute, anchor.value)].append(ilfd)
+    def _cross_source_matches(
+        self, clusters: Sequence[EntityCluster]
+    ) -> Iterator[MatchCheck]:
+        """Each cluster's pairwise matches; a pair witnesses an unsound
+        key iff one of its two sources has two members in the cluster."""
         for cluster in clusters:
-            for (source, row), (other_source, other) in permutations(
-                cluster.members, 2
-            ):
-                if source == other_source:
-                    continue
-                for item in row.items():
-                    for ilfd in by_condition.get(item, ()):
-                        if ilfd.antecedent_holds_in(row) and any(
-                            cond.contradicts(other) for cond in ilfd.consequent
-                        ):
-                            raise ConsistencyError(
-                                f"{source} and {other_source} tuples share "
-                                f"extended-key values {cluster.key!r} but the "
-                                f"dual of ILFD {ilfd!r} declares them distinct"
-                            )
+            members: Dict[str, List[Row]] = defaultdict(list)
+            for source, row in cluster.members:
+                members[source].append(row)
+            for first, second in combinations(members, 2):
+                witness = len(members[first]) > 1 or len(members[second]) > 1
+                label = f"the {first}/{second} pair keyed {cluster.key!r}"
+                for row in members[first]:
+                    for other in members[second]:
+                        yield label, row, other, witness
 
     def pairwise_pairs(
         self, first: str, second: str

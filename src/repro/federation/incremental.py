@@ -8,12 +8,26 @@ supplying new ILFDs can only fill attribute values that were NULL.  The
 
 - it keeps each source tuple's *extended* row plus a hash index from
   complete (fully non-NULL) extended-key values to tuple keys,
-- an insert derives one row and probes the opposite index,
+- an insert goes through :func:`admit` (normalise, key, duplicate
+  check, ILFD extension, a probe of the opposite index, the consistency
+  verdict) and only then writes; serving's ``/ingest`` admits through
+  the same routine, probing the store instead,
 - a delete removes the row's index entries and its matches,
 - `add_ilfds` re-derives only the rows that still have NULL extended-key
   attributes (appending to the ILFD order, so FIRST_MATCH commitments
   already made are never revised — which is what makes knowledge addition
   monotone, Section 3.3).
+
+**Refused updates.**  An update is refused — it raises
+:class:`~repro.core.errors.ConsistencyError` with nothing written — iff
+:class:`~repro.core.identifier.EntityIdentifier` over the post-update
+sources (ILFD duals on) would raise.  The verdict
+(:func:`~repro.core.consistency.check_matches`) stays local: an insert
+judges the new tuple's pairs, a delete the one pair left when its
+extended-key group drops to one tuple per side, and `add_ilfds` every
+match of the post-update state.  A pair whose R or S tuple is matched to
+another tuple too witnesses an unsound key: it is recorded, and
+:meth:`IncrementalIdentifier.verify` reports the key.
 
 The state after any operation sequence equals a from-scratch batch run
 over the current sources — enforced by property-based tests.
@@ -28,17 +42,17 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
-from repro.blocking.base import Blocker, BlockingContext, CandidatePairs
-from repro.blocking.executor import ParallelPairExecutor
-from repro.blocking.strategies import ExtendedKeyHashBlocker
+from repro.core.consistency import MatchCheck, check_matches, dual_rules
 from repro.core.errors import CoreError
 from repro.core.extended_key import ExtendedKey
 from repro.core.matching_table import (
@@ -63,10 +77,11 @@ from repro.relational.nulls import NULL, is_null
 from repro.relational.relation import Relation
 from repro.relational.row import Row
 from repro.relational.schema import Schema
+from repro.rules.engine import RuleEngine
 from repro.store.base import MatchStore
 from repro.store.memory import MemoryStore
 
-__all__ = ["Pair", "Delta", "IncrementalIdentifier"]
+__all__ = ["Pair", "Delta", "Admitted", "admit", "IncrementalIdentifier"]
 
 Pair = Tuple[KeyValues, KeyValues]
 
@@ -81,6 +96,76 @@ class Delta:
     def is_empty(self) -> bool:
         """True iff the update changed no matches."""
         return not self.added and not self.removed
+
+
+#: extended row -> (the opposite side's ``(key, extended row)`` sharing
+#: its complete extended key, in recording order; same-side count).
+Probe = Callable[[Row], Tuple[Sequence[Tuple[KeyValues, Row]], int]]
+
+
+class Admitted(NamedTuple):
+    """One tuple :func:`admit` wrote, with its new matched pairs."""
+
+    key: KeyValues
+    raw: Row
+    extended: Row
+    fired: Tuple[ILFD, ...]
+    pairs: Tuple[Pair, ...]
+
+
+def admit(
+    store: MatchStore,
+    side: str,
+    schema: Schema,
+    raw: Mapping[str, Any],
+    *,
+    engine: DerivationEngine,
+    extended_key: ExtendedKey,
+    rules: RuleEngine,
+    rule: str,
+    exists: Callable[[KeyValues], bool],
+    probe: Probe,
+    before_write: Callable[[], None],
+) -> Admitted:
+    """Normalise → key → duplicate check → extend → probe → verdict → write.
+
+    Raises :class:`~repro.core.errors.CoreError` on a duplicate key and
+    :class:`~repro.core.errors.ConsistencyError` on a contradicted
+    match, with nothing written; the new pairs witness an unsound key
+    iff the tuple has several partners or a same-side twin.  Then
+    *before_write*, the row, its ILFD firings, and one match per
+    partner attributed to the identity *rule*.
+    """
+    values: Dict[str, Any] = {}
+    for name in schema.names:
+        value = raw[name] if name in raw else NULL
+        values[name] = NULL if value is None else value
+    normalised = Row(values)
+    key = key_values(normalised, schema.primary_key)
+    if exists(key):
+        raise CoreError(f"duplicate key {key!r} on insert")
+    result = engine.extend_row(normalised, list(extended_key.attributes))
+    extended = result.row
+    partners, peers = probe(extended)
+    matches = [
+        ((key, other), extended, row) if side == "r" else ((other, key), row, extended)
+        for other, row in partners
+    ]
+    witness = len(partners) > 1 or peers > 0
+    check_matches(rules, ((pair, r, s, witness) for pair, r, s in matches))
+    before_write()
+    store.put_row(side, key, normalised, extended)
+    if result.fired:
+        store.record_derivation(
+            side,
+            key,
+            rule=", ".join(f.name or repr(f) for f in result.fired),
+            derived=result.derived,
+        )
+    for (r_key, s_key), r_row, s_row in matches:
+        store.record_match(r_key, s_key, r_row, s_row, rule=rule)
+    pairs = tuple(pair for pair, _r, _s in matches)
+    return Admitted(key, normalised, extended, result.fired, pairs)
 
 
 class _Side:
@@ -105,7 +190,10 @@ class IncrementalIdentifier:
 
     Parameters mirror :class:`~repro.core.identifier.EntityIdentifier`,
     except the sources start out empty (seed them with
-    :meth:`insert_r` / :meth:`insert_s` or :meth:`load`).
+    :meth:`insert_r` / :meth:`insert_s` or :meth:`load`).  The
+    distinctness rules are the ILFD duals (Proposition 1); an update
+    they contradict raises :class:`~repro.core.errors.ConsistencyError`
+    with nothing written (see the module docstring).
 
     *store* is the persistence backend every mutation writes through to
     (rows, matches, journal).  It defaults to a fresh
@@ -137,6 +225,7 @@ class IncrementalIdentifier:
         self._engine = DerivationEngine(
             self._ilfds, policy=policy, tracer=self._tracer
         )
+        self._rules = dual_rules(self._ilfds)
         self._r = _Side("r", r_schema)
         self._s = _Side("s", s_schema)
         self._matches: Set[Pair] = set()
@@ -282,53 +371,20 @@ class IncrementalIdentifier:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def load(
-        self,
-        r: Relation,
-        s: Relation,
-        *,
-        blocker: Optional[Blocker] = None,
-        executor: Optional[ParallelPairExecutor] = None,
-    ) -> Delta:
-        """Bulk-insert both sources; returns the combined delta.
+    def load(self, r: Relation, s: Relation) -> Delta:
+        """Insert both sources row by row; returns the combined delta.
 
-        Without a blocker, rows are inserted one at a time, each probing
-        the opposite index (the exact incremental path).  With a blocker,
-        all rows are admitted first and the new matches are computed in
-        one blocked batch (:meth:`rescan`) — same resulting state and
-        delta, one candidate-generation pass instead of 2·n probes, and
-        parallel rule evaluation when an executor with workers is given.
+        Each row is admitted like :meth:`insert_r` / :meth:`insert_s`, so
+        a contradicted row raises with the rows before it kept.
         """
         added: List[Pair] = []
         with self._tracer.span(
             "federation.load", r_rows=len(r), s_rows=len(s)
         ) as span:
-            if blocker is None and executor is None:
-                for row in r:
-                    added.extend(self.insert_r(row).added)
-                for row in s:
-                    added.extend(self.insert_s(row).added)
-            else:
-                for row in r:
-                    self._admit(self._r, row)
-                for row in s:
-                    self._admit(self._s, row)
-                current = self.rescan(blocker, executor=executor)
-                new_pairs = sorted(current - self._matches)
-                added.extend(new_pairs)
-                self._matches |= current
-                if new_pairs:
-                    with self._store.transaction():
-                        for r_key, s_key in new_pairs:
-                            self._store.record_match(
-                                r_key,
-                                s_key,
-                                self._r.extended[r_key],
-                                self._s.extended[s_key],
-                                rule=self._identity_rule_name,
-                            )
-                if self._tracer.enabled:
-                    self._tracer.metrics.inc("federation.bulk_loads")
+            for row in r:
+                added.extend(self.insert_r(row).added)
+            for row in s:
+                added.extend(self.insert_s(row).added)
             span.set("matches_added", len(added))
         return Delta(added=tuple(added))
 
@@ -378,11 +434,8 @@ class IncrementalIdentifier:
         self,
         r_loader: Callable[[], Relation],
         s_loader: Callable[[], Relation],
-        *,
-        blocker: Optional[Blocker] = None,
-        executor: Optional[ParallelPairExecutor] = None,
     ) -> Delta:
-        """Fetch both sources (retried) and bulk-load them.
+        """Fetch both sources (retried) and :meth:`load` them.
 
         Both fetches happen before any mutation, so a load that fails
         even after retries leaves the identifier untouched — the caller
@@ -391,7 +444,7 @@ class IncrementalIdentifier:
         """
         r = self.fetch_source("r", r_loader)
         s = self.fetch_source("s", s_loader)
-        return self.load(r, s, blocker=blocker, executor=executor)
+        return self.load(r, s)
 
     def replace_source(self, side: str, relation: Relation) -> Delta:
         """Swap one side's rows for *relation*'s, by key diff.
@@ -434,62 +487,13 @@ class IncrementalIdentifier:
             span.set("matches_removed", len(removed))
         return Delta(added=tuple(sorted(added)), removed=tuple(sorted(removed)))
 
-    # ------------------------------------------------------------------
-    # Blocked batch views
-    # ------------------------------------------------------------------
-    def candidate_pairs(self, blocker: Optional[Blocker] = None) -> CandidatePairs:
-        """Candidate pairs over the *current* extended rows.
-
-        The incremental index is itself extended-key blocking one row at
-        a time; this exposes the same state to any batch
-        :class:`~repro.blocking.Blocker` (defaults to the hash blocker)
-        for sweeps, audits, and cross-checks.
-        """
-        if blocker is None:
-            blocker = ExtendedKeyHashBlocker()
-        context = BlockingContext.of(self._key.attributes, self._ilfds)
-        return blocker.block(
-            list(self._r.extended.values()),
-            list(self._s.extended.values()),
-            context,
-            tracer=self._tracer,
-        )
-
-    def rescan(
-        self,
-        blocker: Optional[Blocker] = None,
-        *,
-        executor: Optional[ParallelPairExecutor] = None,
-    ) -> Set[Pair]:
-        """Recompute the match-pair set from scratch via blocking.
-
-        Classifies the blocker's candidates with the extended-key
-        identity rule; every supplied blocker's candidate set contains
-        all exact-equality pairs, so the result equals the incrementally
-        maintained :meth:`match_pairs` — the batch cross-check the
-        equivalence property tests exercise, without the cross product.
-        """
-        r_keys = list(self._r.extended.keys())
-        s_keys = list(self._s.extended.keys())
-        candidates = self.candidate_pairs(blocker)
-        if executor is None:
-            executor = ParallelPairExecutor(1, tracer=self._tracer)
-        evaluation = executor.evaluate(
-            candidates,
-            list(self._r.extended.values()),
-            list(self._s.extended.values()),
-            (self._key.identity_rule(),),
-            (),
-        )
-        return {(r_keys[i], s_keys[j]) for i, j in evaluation.matches}
-
     def insert_r(self, row: Mapping[str, Any]) -> Delta:
         """Insert one R tuple; returns the new matches it created."""
-        return self._insert(self._r, self._s, row, r_side=True)
+        return self._insert(self._r, self._s, row)
 
     def insert_s(self, row: Mapping[str, Any]) -> Delta:
         """Insert one S tuple; returns the new matches it created."""
-        return self._insert(self._s, self._r, row, r_side=False)
+        return self._insert(self._s, self._r, row)
 
     def delete_r(self, key: Mapping[str, Any] | KeyValues) -> Delta:
         """Delete an R tuple by key; returns the matches removed."""
@@ -504,64 +508,70 @@ class IncrementalIdentifier:
 
         New ILFDs are appended *after* the existing ones, so FIRST_MATCH
         derivations already committed never change — additions are
-        monotone: the returned delta contains no removals.
+        monotone: the returned delta contains no removals.  Every
+        re-derivation is planned and every match of the resulting state
+        judged against the grown rule set before anything changes.
         """
         new = [f for f in ilfds if f not in self._ilfds]
         if not new:
             return Delta()
-        self._ilfds = self._ilfds.extend(new)
-        self._engine = DerivationEngine(
-            self._ilfds, policy=self._policy, tracer=self._tracer
+        ilfd_set = self._ilfds.extend(new)
+        engine = DerivationEngine(
+            ilfd_set, policy=self._policy, tracer=self._tracer
         )
-        self._bump_version()
+        rules = dual_rules(ilfd_set)
         targets = list(self._key.attributes)
         added: List[Pair] = []
-        rederived_count = 0
         with self._tracer.span(
             "federation.add_ilfds", new_ilfds=len(new)
         ) as span:
-            for side, other, r_side in (
-                (self._r, self._s, True),
-                (self._s, self._r, False),
-            ):
-                for key in list(side.extended):
-                    row = side.extended[key]
+            plans = []
+            for side in (self._r, self._s):
+                for key, row in side.extended.items():
                     if not row.has_nulls(targets):
                         continue  # complete rows cannot gain values
-                    result = self._engine.extend_row(side.raw[key], targets)
-                    rederived = result.row
-                    if rederived == row:
-                        continue
-                    rederived_count += 1
-                    side.extended[key] = rederived
-                    self._store.put_row(side.name, key, side.raw[key], rederived)
-                    new_values = {
-                        attr: value
-                        for attr, value in result.derived.items()
-                        if is_null(row.get(attr, NULL))
-                    }
-                    if new_values:
-                        self._store.record_derivation(
-                            side.name,
-                            key,
-                            rule=", ".join(
-                                f.name or repr(f) for f in result.fired
-                            ),
-                            derived=new_values,
-                        )
-                    complete = self._complete_values(rederived)
-                    if complete is None:
-                        continue
-                    side.index[complete].add(key)
-                    added.extend(
-                        self._record_matches(key, complete, other, r_side)
+                    result = engine.extend_row(side.raw[key], targets)
+                    if result.row != row:
+                        plans.append((side, key, row, result))
+            check_matches(rules, self._post_update_matches(plans))
+            self._ilfds, self._engine, self._rules = ilfd_set, engine, rules
+            self._bump_version()
+            for side, key, row, result in plans:
+                side.extended[key] = result.row
+                self._store.put_row(side.name, key, side.raw[key], result.row)
+                new_values = {
+                    attr: value
+                    for attr, value in result.derived.items()
+                    if is_null(row.get(attr, NULL))
+                }
+                if new_values:
+                    self._store.record_derivation(
+                        side.name,
+                        key,
+                        rule=", ".join(f.name or repr(f) for f in result.fired),
+                        derived=new_values,
                     )
-            span.set("rows_rederived", rederived_count)
+                other = self._s if side is self._r else self._r
+                for partner, partner_row in self._probe(side, other, result.row)[0]:
+                    pair, rows = (
+                        ((key, partner), (result.row, partner_row))
+                        if side is self._r
+                        else ((partner, key), (partner_row, result.row))
+                    )
+                    self._matches.add(pair)
+                    added.append(pair)
+                    self._store.record_match(
+                        *pair, *rows, rule=self._identity_rule_name
+                    )
+                complete = self._complete_values(result.row)
+                if complete is not None:
+                    side.index[complete].add(key)
+            span.set("rows_rederived", len(plans))
             span.set("matches_added", len(added))
         if self._tracer.enabled:
             metrics = self._tracer.metrics
             metrics.inc("federation.ilfd_updates")
-            metrics.inc("federation.rows_rederived", rederived_count)
+            metrics.inc("federation.rows_rederived", len(plans))
             metrics.observe("federation.delta_added", len(added))
         return Delta(added=tuple(added))
 
@@ -574,71 +584,59 @@ class IncrementalIdentifier:
             return None
         return values
 
-    def _admit(
-        self, side: _Side, raw: Mapping[str, Any]
-    ) -> Tuple[KeyValues, Optional[Tuple[Any, ...]]]:
-        """Normalise, derive, store, and index one tuple (no probing)."""
-        values: Dict[str, Any] = {}
-        for name in side.schema.names:
-            value = raw[name] if name in raw else NULL
-            values[name] = NULL if value is None else value
-        normalised = Row(values)
-        key = key_values(normalised, side.key_attrs)
-        if key in side.raw:
-            raise CoreError(f"duplicate key {key!r} on insert")
-        result = self._engine.extend_row(normalised, list(self._key.attributes))
-        extended = result.row
-        side.raw[key] = normalised
-        side.extended[key] = extended
-        self._bump_version()
-        self._store.put_row(side.name, key, normalised, extended)
-        if result.fired:
-            self._store.record_derivation(
-                side.name,
-                key,
-                rule=", ".join(f.name or repr(f) for f in result.fired),
-                derived=result.derived,
-            )
+    def _probe(self, side: _Side, other: _Side, extended: Row) -> Tuple[list, int]:
+        """:data:`Probe` over the in-memory hash indexes."""
         complete = self._complete_values(extended)
-        if complete is not None:
-            side.index[complete].add(key)
-        return key, complete
+        if complete is None:
+            return [], 0
+        partners = sorted(other.index.get(complete, ()))
+        peers = len(side.index.get(complete, ()))
+        return [(key, other.extended[key]) for key in partners], peers
+
+    def _post_update_matches(self, plans) -> Iterator[MatchCheck]:
+        """Every match once *plans* (``add_ilfds`` re-derivations) apply."""
+        rederived = {(side.name, key): result.row for side, key, _, result in plans}
+        groups: Dict[Tuple[Any, ...], Tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
+        for position, side in enumerate((self._r, self._s)):
+            for key, row in side.extended.items():
+                row = rederived.get((side.name, key), row)
+                complete = self._complete_values(row)
+                if complete is not None:
+                    groups[complete][position][key] = row
+        for r_rows, s_rows in groups.values():
+            witness = len(r_rows) > 1 or len(s_rows) > 1
+            for r_key, r_row in r_rows.items():
+                for s_key, s_row in s_rows.items():
+                    yield (r_key, s_key), r_row, s_row, witness
 
     def _insert(
-        self, side: _Side, other: _Side, raw: Mapping[str, Any], *, r_side: bool
+        self, side: _Side, other: _Side, raw: Mapping[str, Any]
     ) -> Delta:
-        key, complete = self._admit(side, raw)
-        if complete is None:
-            added: List[Pair] = []
-        else:
-            added = self._record_matches(key, complete, other, r_side)
+        admitted = admit(
+            self._store,
+            side.name,
+            side.schema,
+            raw,
+            engine=self._engine,
+            extended_key=self._key,
+            rules=self._rules,
+            rule=self._identity_rule_name,
+            exists=side.raw.__contains__,
+            probe=lambda extended: self._probe(side, other, extended),
+            before_write=self._bump_version,
+        )
+        side.raw[admitted.key] = admitted.raw
+        side.extended[admitted.key] = admitted.extended
+        complete = self._complete_values(admitted.extended)
+        if complete is not None:
+            side.index[complete].add(admitted.key)
+        added = admitted.pairs
+        self._matches.update(added)
         if self._tracer.enabled:
             metrics = self._tracer.metrics
             metrics.inc("federation.inserts")
             metrics.observe("federation.delta_added", len(added))
-        return Delta(added=tuple(added))
-
-    def _record_matches(
-        self,
-        key: KeyValues,
-        complete: Tuple[Any, ...],
-        other: _Side,
-        r_side: bool,
-    ) -> List[Pair]:
-        added: List[Pair] = []
-        for partner in sorted(other.index.get(complete, ())):
-            pair = (key, partner) if r_side else (partner, key)
-            if pair not in self._matches:
-                self._matches.add(pair)
-                added.append(pair)
-                self._store.record_match(
-                    pair[0],
-                    pair[1],
-                    self._r.extended[pair[0]],
-                    self._s.extended[pair[1]],
-                    rule=self._identity_rule_name,
-                )
-        return added
+        return Delta(added=added)
 
     def _delete(
         self, side: _Side, key: Mapping[str, Any] | KeyValues, *, r_side: bool
@@ -647,11 +645,21 @@ class IncrementalIdentifier:
             key = tuple(sorted(key.items()))
         if key not in side.raw:
             raise CoreError(f"no tuple with key {key!r}")
-        extended = side.extended.pop(key)
+        complete = self._complete_values(side.extended[key])
+        if complete is not None:
+            # Only a group shrinking to 1×1 can leave a non-witness pair.
+            other = self._s if r_side else self._r
+            left = side.index[complete] - {key}
+            partners = other.index.get(complete, set())
+            if len(left) == len(partners) == 1:
+                (kept,), (partner,) = left, partners
+                r_key, s_key = (kept, partner) if r_side else (partner, kept)
+                r_row, s_row = self._r.extended[r_key], self._s.extended[s_key]
+                check_matches(self._rules, [((r_key, s_key), r_row, s_row, False)])
+        side.extended.pop(key)
         side.raw.pop(key)
         self._bump_version()
         self._store.delete_row(side.name, key)
-        complete = self._complete_values(extended)
         if complete is not None:
             side.index[complete].discard(key)
             if not side.index[complete]:

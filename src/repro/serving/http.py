@@ -17,7 +17,8 @@ method path          meaning
 GET    /health       liveness + store identity
 GET    /resolve      point lookup; ``?source=r&key=attr=value,...``
 POST   /resolve      same, JSON body ``{"source": ..., "key": {...}}``
-POST   /ingest       search-before-insert ``{"source": ..., "row": {...}}``
+POST   /ingest       search-before-insert ``{"source": ..., "row": {...}}``;
+                     409 when the ILFD duals contradict a new match
 POST   /invalidate   drop the resolve cache
 GET    /stats        cache/store/metrics snapshot (JSON)
 GET    /metrics      Prometheus text exposition
@@ -47,6 +48,7 @@ import time
 import urllib.parse
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.errors import ConsistencyError
 from repro.observability.tracer import NO_OP_TRACER, Tracer
 from repro.resilience.errors import CircuitOpenError, OverloadShedError
 from repro.resilience.overload import AdmissionController
@@ -69,6 +71,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -364,6 +367,8 @@ class ServingServer:
                     )
                 except BadRequestError as exc:
                     status, payload = 400, json.dumps({"error": str(exc)})
+                except ConsistencyError as exc:
+                    status, payload = 409, json.dumps({"error": str(exc)})
                 except ServiceUnavailableError as exc:
                     status, payload = 503, json.dumps({"error": str(exc)})
                     extra = _retry_after_header(exc.retry_after)

@@ -43,12 +43,13 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.consistency import dual_rules
+from repro.core.errors import ConsistencyError, CoreError
 from repro.core.extended_key import ExtendedKey
-from repro.core.matching_table import key_values
 from repro.core.multiway import EntityCluster
+from repro.federation.incremental import admit
 from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
 from repro.observability.tracer import NO_OP_TRACER, Tracer
-from repro.relational.nulls import NULL
 from repro.relational.row import Row
 from repro.relational.schema import Schema
 from repro.resilience.errors import (
@@ -76,8 +77,8 @@ from repro.store.checkpoint import (
     META_R_SCHEMA,
     META_S_SCHEMA,
     META_VERSION,
-    _DIGEST_SECTIONS,
     _decode_ilfds,
+    unseal_digests,
 )
 from repro.store.codec import (
     KeyValues,
@@ -235,6 +236,7 @@ class MatchLookupService:
             store.get_meta(META_POLICY, DerivationPolicy.FIRST_MATCH.value)
         )
         self._engine = DerivationEngine(ilfds, policy=policy, tracer=self._tracer)
+        self._rules = dual_rules(ilfds)
         self._version = int(store.get_meta(META_VERSION, "0"))
 
     # ------------------------------------------------------------------
@@ -447,12 +449,14 @@ class MatchLookupService:
     def ingest(self, side: str, values: Mapping[str, Any]) -> Dict[str, Any]:
         """Resolve an incoming tuple against the store, then insert it.
 
-        Mirrors :meth:`IncrementalIdentifier.insert_r/s` against the
-        persisted state: normalise → ILFD-extend (journaling rule
-        firings) → probe the opposite source by complete extended-key
-        value → journal one identity match per partner, all inside one
-        store transaction on the single writer thread.  Returns the new
-        tuple's key, the matches created, and its entity cluster.
+        :func:`~repro.federation.incremental.admit`, as
+        :meth:`IncrementalIdentifier.insert_r/s` does, probing the
+        store's extended-key lookups; then one transaction on the
+        single writer thread.  Returns the new tuple's key, the matches
+        created, and the ILFDs that fired.  A duplicate key raises
+        :class:`BadRequestError` (400); a contradicted match raises
+        :class:`~repro.core.errors.ConsistencyError` (409) with nothing
+        written, which the write breaker does not count as a failure.
         """
         self._check_side(side)
         if not self.can_ingest:
@@ -487,67 +491,32 @@ class MatchLookupService:
     ) -> Dict[str, Any]:
         store = self._writer
         schema = self._schemas[side]
-        other = "s" if side == "r" else "r"
         self._injector.fire(SITE_SERVING_REQUEST)
         with self._tracer.span("serving.ingest", source=side):
-            # Unseal the checkpoint's section digests once: like a
-            # resumed session, serving writes through the file, so the
-            # sealed digests stop describing it at the first ingest.
-            if not self._unsealed:
+            values = {
+                k: decode_value(v) for k, v in raw_values.items() if k in schema.names
+            }
+            try:
                 with store.transaction():
-                    for name in _DIGEST_SECTIONS:
-                        if store.get_meta(META_DIGEST_PREFIX + name, ""):
-                            store.set_meta(META_DIGEST_PREFIX + name, "")
-                self._unsealed = True
-            # Normalise exactly as IncrementalIdentifier._admit does:
-            # absent and None both become NULL.
-            values: Dict[str, Any] = {}
-            for name in schema.names:
-                value = raw_values[name] if name in raw_values else NULL
-                values[name] = NULL if value is None else decode_value(value)
-            normalised = Row(values)
-            key_attrs = tuple(
-                n for n in schema.names if n in schema.primary_key
-            )
-            key = key_values(normalised, key_attrs)
-            if store.get_row(side, key) is not None:
-                raise BadRequestError(f"duplicate key {key!r} on insert")
-            result = self._engine.extend_row(
-                normalised, list(self._extended_key.attributes)
-            )
-            extended = result.row
-            added: List[Tuple[KeyValues, KeyValues]] = []
-            with store.transaction():
-                self._version += 1
-                store.set_meta(META_VERSION, str(self._version))
-                store.put_row(side, key, normalised, extended)
-                if result.fired:
-                    store.record_derivation(
+                    admitted = admit(
+                        store,
                         side,
-                        key,
-                        rule=", ".join(f.name or repr(f) for f in result.fired),
-                        derived=result.derived,
+                        schema,
+                        values,
+                        engine=self._engine,
+                        extended_key=self._extended_key,
+                        rules=self._rules,
+                        rule=self._identity_rule_name,
+                        exists=lambda key: store.get_row(side, key) is not None,
+                        probe=lambda extended: self._probe(side, extended),
+                        before_write=self._bump_version,
                     )
-                ext_text = store.extended_key_text(extended)
-                partners: List[Tuple[KeyValues, Row, Row]] = []
-                if ext_text is not None:
-                    partners = store.rows_by_extended_key(other, ext_text)
-                    for partner_key, _praw, partner_extended in partners:
-                        pair = (
-                            (key, partner_key) if side == "r" else (partner_key, key)
-                        )
-                        if store.has_match(*pair):
-                            continue
-                        r_row = extended if side == "r" else partner_extended
-                        s_row = partner_extended if side == "r" else extended
-                        store.record_match(
-                            pair[0],
-                            pair[1],
-                            r_row,
-                            s_row,
-                            rule=self._identity_rule_name,
-                        )
-                        added.append(pair)
+            except ConsistencyError:
+                raise
+            except CoreError as exc:  # a duplicate key
+                raise BadRequestError(str(exc)) from exc
+            key, added = admitted.key, admitted.pairs
+            ext_text = store.extended_key_text(admitted.extended)
             # Write committed: invalidate every cache entry the new
             # tuple's cluster touches (itself, and each member whose
             # cluster/matches just changed).  A fault here must fail
@@ -582,9 +551,27 @@ class MatchLookupService:
                 for r, s in added
             ],
             "derivations_fired": [
-                f.name or repr(f) for f in result.fired
+                f.name or repr(f) for f in admitted.fired
             ],
         }
+
+    def _bump_version(self) -> None:
+        """Unseal the checkpoint's digests (serving writes through the
+        file, as a resumed session does) and advance the delta cursor."""
+        if not self._unsealed:
+            unseal_digests(self._writer)
+            self._unsealed = True
+        self._version += 1
+        self._writer.set_meta(META_VERSION, str(self._version))
+
+    def _probe(self, side: str, extended: Row) -> Tuple[List[Any], int]:
+        """The admit probe over the store's extended-key lookups."""
+        text = self._writer.extended_key_text(extended)
+        if text is None:
+            return [], 0
+        lookup = self._writer.rows_by_extended_key
+        partners = lookup("s" if side == "r" else "r", text)
+        return [(key, row) for key, _raw, row in partners], len(lookup(side, text))
 
     # ------------------------------------------------------------------
     # Operations

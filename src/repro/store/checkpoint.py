@@ -28,7 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.errors import CoreError
+from repro.core.consistency import check_table, dual_rules
+from repro.core.errors import ConsistencyError, CoreError
 from repro.ilfd.conditions import Condition
 from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
@@ -159,6 +160,13 @@ def compute_section_digests(store: MatchStore) -> Dict[str, str]:
     return digests
 
 
+def unseal_digests(store: MatchStore) -> None:
+    """Clear the sealed section digests of a file being written through."""
+    for name in _DIGEST_SECTIONS:
+        if store.get_meta(META_DIGEST_PREFIX + name, ""):
+            store.set_meta(META_DIGEST_PREFIX + name, "")
+
+
 def checkpoint_incremental(
     identifier: "IncrementalIdentifier",
     path: str,
@@ -206,6 +214,22 @@ def checkpoint_incremental(
     return dest
 
 
+def _write_knowledge(dest: MatchStore, identifier: "IncrementalIdentifier") -> None:
+    """The metadata that makes *dest* a resumable checkpoint of *identifier*."""
+    for name, value in (
+        (META_FORMAT, CHECKPOINT_FORMAT),
+        (META_KIND, _KIND_INCREMENTAL),
+        (META_CREATED, repr(time.time())),
+        (META_R_SCHEMA, encode_schema(identifier._r.schema)),
+        (META_S_SCHEMA, encode_schema(identifier._s.schema)),
+        (META_EXTENDED_KEY, json.dumps(list(identifier.extended_key.attributes))),
+        (META_ILFDS, _encode_ilfds(identifier.ilfds)),
+        (META_POLICY, identifier.policy.value),
+        (META_VERSION, str(identifier.version)),
+    ):
+        dest.set_meta(name, value)
+
+
 def _write_checkpoint(
     identifier: "IncrementalIdentifier",
     dest: SqliteStore,
@@ -215,18 +239,7 @@ def _write_checkpoint(
     with tracer.span("store.checkpoint", path=target) as span:
         dest.clear()
         with dest.transaction():
-            dest.set_meta(META_FORMAT, CHECKPOINT_FORMAT)
-            dest.set_meta(META_KIND, _KIND_INCREMENTAL)
-            dest.set_meta(META_CREATED, repr(time.time()))
-            dest.set_meta(META_R_SCHEMA, encode_schema(identifier._r.schema))
-            dest.set_meta(META_S_SCHEMA, encode_schema(identifier._s.schema))
-            dest.set_meta(
-                META_EXTENDED_KEY,
-                json.dumps(list(identifier.extended_key.attributes)),
-            )
-            dest.set_meta(META_ILFDS, _encode_ilfds(identifier.ilfds))
-            dest.set_meta(META_POLICY, identifier.policy.value)
-            dest.set_meta(META_VERSION, str(identifier.version))
+            _write_knowledge(dest, identifier)
             dest.set_key_attributes(
                 identifier._r.key_attrs, identifier._s.key_attrs
             )
@@ -274,7 +287,10 @@ def resume_incremental(
     included), and the uniqueness/consistency constraints are audited —
     all before any state is trusted; failures raise
     :class:`~repro.store.errors.StoreIntegrityError`, and
-    :func:`salvage_incremental` is the recovery path.  Sealed digests
+    :func:`salvage_incremental` is the recovery path.  A stored match
+    the ILFD duals contradict raises
+    :class:`~repro.core.errors.ConsistencyError`, the verdict every
+    insert applies, also before anything is written.  Sealed digests
     are cleared after verification (the live session writes through this
     file, so they would immediately go stale).
     """
@@ -320,12 +336,16 @@ def resume_incremental(
                         )
             store.check_constraints()
             store.verify_journal()
+            # The stored MT is unique, so every contradicted match is an
+            # error (a store grown through an unchecked ingest, say).
+            check_table(
+                dual_rules(_decode_ilfds(store.get_meta(META_ILFDS, ""))),
+                store.matching_table(),
+            )
         # Unseal: live updates write through this file, so the sealed
         # digests stop describing it the moment the session continues.
         with store.transaction():
-            for name in _DIGEST_SECTIONS:
-                if store.get_meta(META_DIGEST_PREFIX + name, ""):
-                    store.set_meta(META_DIGEST_PREFIX + name, "")
+            unseal_digests(store)
         r_schema = decode_schema(store.get_meta(META_R_SCHEMA, ""))
         s_schema = decode_schema(store.get_meta(META_S_SCHEMA, ""))
         extended_key = json.loads(store.get_meta(META_EXTENDED_KEY, "[]"))
@@ -650,6 +670,8 @@ def salvage_incremental(
             for row in recovered_rows[side] + (list(supplied) if supplied else []):
                 try:
                     insert(row)
+                except ConsistencyError as exc:
+                    report.notes.append(f"refused {side.upper()} row: {exc}")
                 except CoreError:
                     pass  # key already recovered from the file
         report.matches_rebuilt = len(identifier.match_pairs())
@@ -680,17 +702,7 @@ def salvage_incremental(
             # Make the durable output a checkpoint in its own right, so
             # a later `resume` opens the rebuilt session directly.
             with fresh_store.transaction():
-                fresh_store.set_meta(META_FORMAT, CHECKPOINT_FORMAT)
-                fresh_store.set_meta(META_KIND, _KIND_INCREMENTAL)
-                fresh_store.set_meta(META_CREATED, repr(time.time()))
-                fresh_store.set_meta(META_R_SCHEMA, encode_schema(r_schema))
-                fresh_store.set_meta(META_S_SCHEMA, encode_schema(s_schema))
-                fresh_store.set_meta(
-                    META_EXTENDED_KEY, json.dumps(list(extended_key))
-                )
-                fresh_store.set_meta(META_ILFDS, _encode_ilfds(identifier.ilfds))
-                fresh_store.set_meta(META_POLICY, policy.value)
-                fresh_store.set_meta(META_VERSION, str(identifier.version))
+                _write_knowledge(fresh_store, identifier)
         span.set("matches", report.matches_rebuilt)
         span.set("journal_recovered", report.journal_recovered)
     if tracer.enabled:

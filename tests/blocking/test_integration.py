@@ -1,4 +1,4 @@
-"""Blocking wired through the identifier, federation, and baselines."""
+"""Blocking wired through the identifier and baselines."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.blocking import (
 )
 from repro.core.errors import ConsistencyError
 from repro.core.identifier import EntityIdentifier
-from repro.federation.incremental import IncrementalIdentifier
 from repro.observability import Tracer
 from repro.rules.distinctness import DistinctnessRule
 from repro.rules.predicates import equality_predicate
@@ -109,47 +108,6 @@ class TestIdentifierEquivalence:
         )
         with pytest.raises(ConsistencyError):
             identifier.matching_table()
-
-
-class TestIncrementalFederation:
-    def _fresh(self):
-        return IncrementalIdentifier(
-            WORKLOAD.r.schema,
-            WORKLOAD.s.schema,
-            WORKLOAD.extended_key,
-            ilfds=WORKLOAD.ilfds,
-        )
-
-    def test_blocked_load_equals_per_row_load(self):
-        per_row = self._fresh()
-        per_row.load(WORKLOAD.r, WORKLOAD.s)
-        blocked = self._fresh()
-        delta = blocked.load(
-            WORKLOAD.r, WORKLOAD.s, blocker=ExtendedKeyHashBlocker()
-        )
-        assert blocked.match_pairs() == per_row.match_pairs()
-        assert set(delta.added) == per_row.match_pairs()
-
-    def test_rescan_agrees_with_incremental_state(self):
-        federation = self._fresh()
-        federation.load(WORKLOAD.r, WORKLOAD.s)
-        assert federation.rescan() == federation.match_pairs()
-        assert (
-            federation.rescan(SortedNeighborhoodBlocker(window=3))
-            == federation.match_pairs()
-        )
-
-    def test_blocked_load_with_executor(self):
-        federation = self._fresh()
-        federation.load(
-            WORKLOAD.r,
-            WORKLOAD.s,
-            blocker=ExtendedKeyHashBlocker(),
-            executor=ParallelPairExecutor(2, backend="thread"),
-        )
-        per_row = self._fresh()
-        per_row.load(WORKLOAD.r, WORKLOAD.s)
-        assert federation.match_pairs() == per_row.match_pairs()
 
 
 class TestBaselines:

@@ -17,6 +17,11 @@ from repro.serving import (
     ServingTracer,
     parse_query_key,
 )
+from repro.federation import IncrementalIdentifier
+from repro.ilfd.ilfd import ILFD
+from repro.relational.attribute import string_attribute
+from repro.relational.schema import Schema
+from repro.resilience import CircuitBreaker
 from repro.store import SqliteStore
 
 
@@ -220,6 +225,74 @@ class TestProtocol:
         )
         assert int(lines["repro_serving_requests_total"]) >= 2
         assert int(lines["repro_serving_errors_total"]) >= 1
+
+
+class TestContradictedIngest:
+    """An ingest the ILFD duals contradict is a 409 that changes nothing."""
+
+    THAI = {"name": "TwinCities", "speciality": "Hunan", "cuisine": "Thai"}
+
+    @pytest.fixture()
+    def thai_store(self, tmp_path):
+        schema = Schema(
+            [string_attribute(n) for n in ("name", "speciality", "cuisine")],
+            keys=[("name", "speciality")],
+        )
+        session = IncrementalIdentifier(
+            schema,
+            schema,
+            ["name", "cuisine"],
+            ilfds=[ILFD({"speciality": "Hunan"}, {"cuisine": "Chinese"}, name="I1")],
+        )
+        session.insert_s(self.THAI)
+        path = str(tmp_path / "thai.sqlite")
+        session.checkpoint(path)
+        session.store.close()
+        return path
+
+    @staticmethod
+    def _snapshot(path):
+        store = SqliteStore(path, read_only=True)
+        try:
+            return (
+                dict(store.counts()),
+                [entry.seq for entry in store.journal_entries()],
+                dict(store.meta_items()),
+            )
+        finally:
+            store.close()
+
+    def test_contradicted_ingest_is_409_and_writes_nothing(self, thai_store):
+        before = self._snapshot(thai_store)
+        breaker = CircuitBreaker("write", failure_threshold=1)
+        service = MatchLookupService(thai_store, write_breaker=breaker)
+        server = _RunningServer(service)
+        try:
+            status, body = server.request(
+                "/ingest", data={"source": "r", "row": self.THAI}
+            )
+            assert status == 409
+            assert "I1" in json.loads(body)["error"]
+            assert service.version == int(before[2]["version"])
+            # The request was at fault, not the store: the breaker
+            # stays closed even at a one-failure threshold.
+            assert breaker.state == "closed"
+            # A tuple with no partner is still admitted.
+            status, _ = server.request(
+                "/ingest",
+                data={
+                    "source": "r",
+                    "row": dict(self.THAI, speciality="Dimsum", cuisine="Chinese"),
+                },
+            )
+            assert status == 200
+        finally:
+            server.close()
+            service.close()
+        counts, journal, meta = self._snapshot(thai_store)
+        assert counts["r_rows"] == 1 and counts["matches"] == 0
+        assert journal == before[1]
+        assert meta["version"] == str(int(before[2]["version"]) + 1)
 
 
 class TestQueryKeyParsing:

@@ -12,7 +12,7 @@ All ``repro`` subcommands speak the same three-way protocol:
 
 These are contract tests: scripts and the CI pipeline branch on these
 codes, so the mapping is pinned here across ``identify``, ``resume``
-(including ``--salvage``), and ``conform``.
+(including ``--salvage``), ``checkpoint``, and ``conform``.
 """
 
 import json
@@ -157,6 +157,41 @@ class TestResumeExitCodes:
         assert main(
             ["resume", str(tmp_path / "nowhere.sqlite"), "--quiet"]
         ) == 2
+
+    def test_duplicate_insert_exits_two(self, csvs, checkpoint, capsys):
+        # R.csv repeats keys the checkpoint already holds: a CoreError,
+        # reported as one line rather than a traceback.
+        r_path, _ = csvs
+        status = main(
+            ["resume", str(checkpoint), "--insert-r", str(r_path), "--quiet"]
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("repro resume: ")
+        assert "duplicate key" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestCheckpointExitCodes:
+    def test_inconsistent_rules_exit_two(self, tmp_path, capsys):
+        # The sources' one pair matches, but the ILFD's dual declares it
+        # distinct: the session refuses it and nothing is checkpointed.
+        for side in ("R", "S"):
+            (tmp_path / f"{side}.csv").write_text(
+                "name,speciality,cuisine\nTwinCities,Hunan,Thai\n"
+            )
+        ckpt = tmp_path / "session.sqlite"
+        status = main(
+            ["checkpoint", str(tmp_path / "R.csv"), str(tmp_path / "S.csv"),
+             str(ckpt), "--r-key", "name,speciality",
+             "--s-key", "name,speciality", "--extended-key", "name,cuisine",
+             "--ilfd", "speciality=Hunan -> cuisine=Chinese", "--quiet"]
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("repro checkpoint: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not ckpt.exists()
 
 
 class TestConformExitCodes:
