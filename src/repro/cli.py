@@ -109,15 +109,24 @@ corrupted checkpoint makes ``repro resume`` fail fatally unless
 proves (surviving rows, the verifiable journal prefix) and re-derives
 the rest, optionally from fallback sources (``--salvage-r/-s``).
 
-Exit codes, uniform across subcommands:
+Exit codes — the one full statement of the contract every subcommand
+follows:
 
-- **0** — success: the run completed and the result verified sound.
+- **0** — success: the run completed and the result verified sound
+  (conformance and scenario grids green, checkpoint written, ...).
 - **1** — degraded or partial: the pipeline finished but something
   needs attention — an unsound extended key, quarantined pairs, a
-  stale-served source, or a session rebuilt by ``--salvage``.
-- **2** — fatal: bad usage, unreadable input, an unwritable trace,
-  rules that contradict each other on a matched pair under a sound key,
-  or a corrupt checkpoint that was not (or could not be) salvaged.
+  conformance mismatch or golden/baseline drift, a chaos divergence, a
+  bench regression, a stale-served source, or a session rebuilt by
+  ``--salvage``.
+- **2** — fatal: bad usage; a missing, unreadable or unwritable file
+  (source CSV, ILFD file, store, checkpoint, ``--out``, trace, ledger);
+  a malformed ``--ilfd``, key, extended key or fault plan; rules that
+  contradict each other on a matched pair under a sound key; exhausted
+  retries; or a corrupt checkpoint that was not (or could not be)
+  salvaged.  A fatal error is reported as one ``repro <command>:
+  <message>`` line on stderr, never a traceback (argparse usage errors
+  print the usage line first).
 
 For backward compatibility, invoking without a subcommand (the historical
 ``repro-identify`` entry point) behaves exactly like ``repro identify``.
@@ -131,57 +140,26 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.blocking import BLOCKERS, ParallelPairExecutor, make_blocker
-from repro.core.errors import ConsistencyError, CoreError
+from repro.core.errors import CoreError
 from repro.core.identifier import EntityIdentifier
 from repro.ilfd.conditions import parse_condition
+from repro.ilfd.errors import ILFDError
 from repro.ilfd.ilfd import ILFD
 from repro.ilfd.tables import ILFDTable
 from repro.relational.csvio import read_csv, write_csv
+from repro.relational.errors import RelationalError
 from repro.relational.formatting import format_relation
 
 __all__ = [
     "parse_ilfd",
     "parse_key_spec",
-    "build_parser",
-    "build_stats_parser",
-    "build_checkpoint_parser",
-    "build_resume_parser",
-    "build_explain_parser",
     "package_version",
     "build_conform_parser",
-    "build_report_parser",
-    "build_serve_parser",
-    "build_entities_parser",
-    "build_chaos_parser",
-    "build_scenarios_parser",
-    "identify_main",
-    "stats_main",
-    "checkpoint_main",
-    "resume_main",
-    "explain_pair_main",
     "conform_main",
-    "report_main",
-    "serve_main",
-    "entities_main",
     "chaos_main",
     "scenarios_main",
     "main",
 ]
-
-_SUBCOMMANDS = (
-    "identify",
-    "stats",
-    "version",
-    "checkpoint",
-    "resume",
-    "explain-pair",
-    "conform",
-    "report",
-    "serve",
-    "entities",
-    "chaos",
-    "scenarios",
-)
 
 
 def package_version() -> str:
@@ -245,90 +223,295 @@ def parse_key_spec(text: str):
     return tuple(sorted(pairs))
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flags shared by identify/checkpoint/resume."""
+# ----------------------------------------------------------------------
+# Shared flag groups: each command registers exactly the flags it takes
+# ----------------------------------------------------------------------
+_FAULT_PLAN_HELP = (
+    "deterministically inject faults: 'site:kind@index[..last]' "
+    "specs joined with ';' (sites: federation.load_source.r/.s, "
+    "executor.batch, store.commit, store.checkpoint; kinds: error, "
+    "crash, hang), or 'random:SEED' for a seeded random schedule"
+)
+
+
+def _add_two_sources(parser: argparse.ArgumentParser, *, optional=False) -> None:
+    """R.csv S.csv --r-key --s-key (optional on identify's N-way form)."""
+    nargs = "?" if optional else None
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="attempt transient operations (pair batches, store commits, "
-        "source loads) up to N times with capped exponential backoff "
-        "(default 1 = no retries)",
+        "r_csv", nargs=nargs, help="first source relation (CSV with header)"
     )
     parser.add_argument(
-        "--retry-delay",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="base backoff delay between retries (default 0.01; doubles "
-        "per attempt, jittered, capped)",
+        "s_csv", nargs=nargs, help="second source relation (CSV with header)"
     )
     parser.add_argument(
-        "--inject-faults",
-        metavar="PLAN",
-        help="deterministically inject faults: 'site:kind@index[..last]' "
-        "specs joined with ';' (sites: federation.load_source.r/.s, "
-        "executor.batch, store.commit, store.checkpoint; kinds: error, "
-        "crash, hang), or 'random:SEED' for a seeded random schedule",
+        "--r-key",
+        required=not optional,
+        help="comma-separated key of the first relation",
+    )
+    parser.add_argument(
+        "--s-key",
+        required=not optional,
+        help="comma-separated key of the second relation",
     )
 
 
-def _make_resilience(args, tracer):
-    """(RetryPolicy | None, FaultInjector | None) from the shared flags.
+def _add_named_sources(parser: argparse.ArgumentParser, *, required=False) -> None:
+    """Repeatable --source NAME=CSV and --key NAME=ATTRS."""
+    parser.add_argument(
+        "--source",
+        action="append",
+        metavar="NAME=CSV",
+        help="named source relation (repeatable; at least two, each with "
+        "its key given by --key NAME=ATTRS); on 'identify' the named "
+        "sources run through N-way multiway identification instead of "
+        "the pairwise pipeline",
+        **({"required": True} if required else {"default": []}),
+    )
+    parser.add_argument(
+        "--key",
+        action="append",
+        default=[],
+        metavar="NAME=ATTRS",
+        help="comma-separated primary key of one named --source "
+        "(repeatable, one per source)",
+    )
 
-    Raises :class:`~repro.resilience.errors.FaultPlanError` on a bad
-    ``--inject-faults`` spec and ``ValueError`` on a bad ``--retries``.
+
+def _add_extended_key(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--extended-key",
+        required=True,
+        help="comma-separated extended key (unified attribute names)",
+    )
+
+
+def _add_knowledge(
+    parser: argparse.ArgumentParser, *, tables=True, files=True, mine=False
+) -> None:
+    """--ilfd, plus --ilfds-csv / --ilfds-file / --mine where taken."""
+    parser.add_argument(
+        "--ilfd",
+        action="append",
+        default=[],
+        metavar="RULE",
+        help="inline ILFD, e.g. 'speciality=Mughalai -> cuisine=Indian' "
+        "(repeatable)",
+    )
+    if tables:
+        parser.add_argument(
+            "--ilfds-csv",
+            action="append",
+            default=[],
+            metavar="FILE",
+            help="ILFD table CSV: antecedent columns then one derived "
+            "column (repeatable)",
+        )
+    if files:
+        parser.add_argument(
+            "--ilfds-file",
+            action="append",
+            default=[],
+            metavar="FILE",
+            help="ILFD knowledge-base text file, one 'a=x & b=y -> c=z' "
+            "rule per line (repeatable)",
+        )
+    if mine:
+        parser.add_argument(
+            "--mine",
+            action="append",
+            default=[],
+            metavar="FILE",
+            help="mine candidate ILFDs from this CSV instance before "
+            "identifying; exceptionless candidates join the ILFD set "
+            "(repeatable)",
+        )
+
+
+def _add_output(parser: argparse.ArgumentParser, *, quiet=True, json=True) -> None:
+    """--json and/or --quiet."""
+    if json:
+        parser.add_argument(
+            "--json",
+            action="store_true",
+            help="emit the machine-readable result as JSON on stdout "
+            "instead of the text rendering",
+        )
+    if quiet:
+        parser.add_argument(
+            "--quiet",
+            action="store_true",
+            help="suppress the human-readable printouts (the exit status "
+            "still reports the verdict)",
+        )
+
+
+def _add_telemetry(
+    parser: argparse.ArgumentParser, *, trace=True, ledger=True, profile=True
+) -> None:
+    """--trace/--metrics, --ledger and --profile/--profile-alloc."""
+    if trace:
+        parser.add_argument(
+            "--trace",
+            metavar="FILE",
+            help="record a JSON-lines trace of the run (spans + metrics) "
+            "to FILE; inspect it later with 'repro stats FILE'",
+        )
+        parser.add_argument(
+            "--metrics",
+            action="store_true",
+            help="print the run's metrics summary after the run",
+        )
+    if ledger:
+        parser.add_argument(
+            "--ledger",
+            metavar="PATH",
+            help="append this run's report (environment, config, phase "
+            "timings, memory, throughput, metrics, resilience events) to "
+            "the SQLite run ledger at PATH; inspect with 'repro report "
+            "list/show/diff --ledger PATH'",
+        )
+    if profile:
+        parser.add_argument(
+            "--profile",
+            action="store_true",
+            help="attribute memory (RSS sampled at span boundaries) and "
+            "counter deltas to each pipeline phase, and print the profile "
+            "tree after the run (<5%% overhead; see BENCH_telemetry.json)",
+        )
+        parser.add_argument(
+            "--profile-alloc",
+            action="store_true",
+            help="like --profile but with exact Python allocation deltas "
+            "via tracemalloc (precise; expect roughly 2x slowdown — never "
+            "a default)",
+        )
+
+
+def _add_resilience(
+    parser: argparse.ArgumentParser, *, retries=True, faults=_FAULT_PLAN_HELP
+) -> None:
+    """--retries/--retry-delay and --inject-faults (*faults* is its help)."""
+    if retries:
+        parser.add_argument(
+            "--retries",
+            type=int,
+            default=1,
+            metavar="N",
+            help="attempt transient operations (pair batches, store "
+            "commits, source loads, replica reads) up to N times with "
+            "capped exponential backoff (default 1 = no retries)",
+        )
+        parser.add_argument(
+            "--retry-delay",
+            type=float,
+            default=0.01,
+            metavar="SECONDS",
+            help="base backoff delay between retries (default 0.01; "
+            "doubles per attempt, jittered, capped)",
+        )
+    parser.add_argument("--inject-faults", metavar="PLAN", help=faults)
+
+
+# ----------------------------------------------------------------------
+# Shared run helpers
+# ----------------------------------------------------------------------
+def _collect_ilfds(args, *, quiet: bool = True) -> List[ILFD]:
+    """All ILFDs the --ilfd/--ilfds-csv/--ilfds-file/--mine flags name."""
+    ilfds: List[ILFD] = [parse_ilfd(text) for text in args.ilfd]
+    for path in getattr(args, "ilfds_csv", []):
+        table_relation = read_csv(path, enforce_keys=False)
+        names = list(table_relation.schema.names)
+        table = ILFDTable(names[:-1], names[-1], list(table_relation), name=path)
+        ilfds.extend(table.to_ilfds())
+    for path in getattr(args, "ilfds_file", []):
+        from repro.ilfd.io import read_ilfds
+
+        ilfds.extend(read_ilfds(path))
+    for path in getattr(args, "mine", []):
+        from repro.discovery import mine_ilfds
+
+        instance = read_csv(path, enforce_keys=False)
+        mined = mine_ilfds(instance, max_antecedent=2, min_support=2)
+        accepted = [m.ilfd for m in mined if m.is_exceptionless]
+        ilfds.extend(accepted)
+        if not quiet:
+            print(f"mined {len(accepted)} exceptionless ILFD(s) from {path}")
+    return ilfds
+
+
+def _parse_named_sources(source_specs, key_specs):
+    """``--source NAME=CSV`` + ``--key NAME=ATTRS`` → name → Relation.
+
+    Raises ``ValueError`` on malformed specs, duplicate names, a source
+    with no key spec, or fewer than two sources.
+    """
+    keys = {}
+    for spec in key_specs:
+        if "=" not in spec:
+            raise ValueError(f"--key {spec!r} is not of the form NAME=ATTRS")
+        name, _, attrs = spec.partition("=")
+        name = name.strip()
+        if name in keys:
+            raise ValueError(f"duplicate --key for source {name!r}")
+        keys[name] = _split_key(attrs)
+    sources = {}
+    for spec in source_specs:
+        name, _, path = spec.partition("=")
+        name, path = name.strip(), path.strip()
+        if not name or not path:
+            raise ValueError(f"--source {spec!r} is not of the form NAME=CSV")
+        if name in sources:
+            raise ValueError(f"duplicate --source name {name!r}")
+        if name not in keys:
+            raise ValueError(f"--source {name!r} has no --key {name}=ATTRS")
+        sources[name] = read_csv(path, keys=[keys[name]], name=name)
+    unused = sorted(set(keys) - set(sources))
+    if unused:
+        raise ValueError(f"--key given for unknown source(s): {unused}")
+    if len(sources) < 2:
+        raise ValueError("N-way resolution needs at least two --source")
+    return sources
+
+
+def _make_resilience(args, tracer=None, *, random_plans=True):
+    """(RetryPolicy | None, FaultInjector | None) from the resilience flags.
+
+    ``random:SEED`` plans are accepted only where *random_plans* (the
+    batch commands); ``serve`` and ``entities build`` parse site specs.
     """
     from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
 
-    if args.retries < 1:
+    retries = getattr(args, "retries", 1)
+    if retries < 1:
         raise ValueError("--retries must be >= 1")
     retry = None
-    if args.retries > 1:
+    if retries > 1:
         retry = RetryPolicy(
-            max_attempts=args.retries,
-            base_delay=max(args.retry_delay, 0.0),
-            seed=0,
+            max_attempts=retries, base_delay=max(args.retry_delay, 0.0), seed=0
         )
     injector = None
-    if args.inject_faults:
-        spec = args.inject_faults.strip()
-        if spec.startswith("random:"):
+    spec = (args.inject_faults or "").strip()
+    if spec:
+        if random_plans and spec.startswith("random:"):
             plan = FaultPlan.random(int(spec[len("random:"):] or "0"))
         else:
             plan = FaultPlan.parse(spec)
-        if tracer is not None:
-            injector = FaultInjector(plan, tracer=tracer)
-        else:
-            injector = FaultInjector(plan)
+        injector = (
+            FaultInjector(plan) if tracer is None
+            else FaultInjector(plan, tracer=tracer)
+        )
     return retry, injector
 
 
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    """The run-ledger/profiler flags shared by identify/resume/conform."""
-    parser.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="append this run's report (environment, config, phase "
-        "timings, memory, throughput, metrics, resilience events) to the "
-        "SQLite run ledger at PATH; inspect with 'repro report "
-        "list/show/diff --ledger PATH'",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attribute memory (RSS sampled at span boundaries) and "
-        "counter deltas to each pipeline phase, and print the profile "
-        "tree after the run (<5%% overhead; see BENCH_telemetry.json)",
-    )
-    parser.add_argument(
-        "--profile-alloc",
-        action="store_true",
-        help="like --profile but with exact Python allocation deltas via "
-        "tracemalloc (precise; expect roughly 2x slowdown — never a "
-        "default)",
-    )
+def _existing_store(path: str) -> str:
+    """*path*, refused when no file exists there.
+
+    Opening a missing path would create an empty SQLite file behind the
+    user's back before failing on it.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no such store: {path}")
+    return path
 
 
 def _profile_mode(args) -> str:
@@ -367,68 +550,83 @@ def _telemetry_config(args, command: str) -> dict:
     return config
 
 
-def _append_run_report(args, command: str, recorder, tracer, outcome) -> int:
-    """Finish *recorder* and append the report to ``--ledger``.
+class _Telemetry:
+    """One command's tracer, run recorder, and exit-time telemetry output.
 
-    Returns 0 on success (or when no ledger was requested), 2 when the
-    ledger cannot be opened or appended — mirroring the unwritable
-    ``--trace`` contract.
+    The tracer exists when the command's flags observe the run
+    (``--trace``/``--metrics``/``--ledger``/``--profile``) or *observe*
+    asks for one; ``serve`` passes its ServingTracer in.  A failure to
+    write the trace or the ledger propagates to ``main`` (exit 2); a
+    failed trace write appends no run report.
     """
-    if not getattr(args, "ledger", None):
-        return 0
-    from repro.telemetry import LedgerError, RunLedger
 
-    run_report = recorder.finish(tracer, outcome=outcome)
-    try:
-        with RunLedger(args.ledger) as ledger:
-            run_id = ledger.append(run_report)
-    except LedgerError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        return 2
-    if not getattr(args, "quiet", False) and not getattr(args, "json", False):
-        print(f"run report {run_id} appended to {args.ledger}")
-    return 0
+    def __init__(self, args, command: str, *, tracer=None, observe=False):
+        self.profile = _profile_mode(args)
+        self.trace = getattr(args, "trace", None)
+        self.metrics = getattr(args, "metrics", False)
+        self.ledger = getattr(args, "ledger", None)
+        self.json = getattr(args, "json", False)
+        self.silent = self.json or getattr(args, "quiet", False)
+        if tracer is None and (
+            observe
+            or self.trace
+            or self.metrics
+            or self.ledger
+            or self.profile != "off"
+        ):
+            from repro.observability import Tracer
+
+            tracer = Tracer(profile=self.profile)
+        self.tracer = tracer
+        self.recorder = None
+        if self.ledger:
+            from repro.telemetry import RunRecorder
+
+            self.recorder = RunRecorder(command, _telemetry_config(args, command))
+
+    def finish(self, status: int, **outcome) -> int:
+        """Print profile and metrics, write the trace, append the ledger."""
+        if self.profile != "off" and not self.silent:
+            from repro.observability import format_profile
+
+            print()
+            print(format_profile(self.tracer))
+        if self.metrics and not self.json:
+            from repro.observability import format_metrics
+
+            print()
+            print(format_metrics(self.tracer.metrics.snapshot()))
+        if self.trace:
+            from repro.observability import write_trace_jsonl
+
+            records = write_trace_jsonl(self.tracer, self.trace)
+            if not self.silent:
+                print(f"trace ({records} records) written to {self.trace}")
+        if self.recorder is not None:
+            from repro.telemetry import RunLedger
+
+            run_report = self.recorder.finish(
+                self.tracer, outcome={"exit_status": status, **outcome}
+            )
+            with RunLedger(self.ledger) as ledger:
+                run_id = ledger.append(run_report)
+            if not self.silent:
+                print(f"run report {run_id} appended to {self.ledger}")
+        return status
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro identify`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro identify",
-        description="Entity identification across two CSV relations "
-        "(Lim et al., ICDE 1993).",
-    )
+# ----------------------------------------------------------------------
+# The commands: (add_arguments, run) pairs.  Each add_arguments'
+# docstring is the command's --help description; each run returns 0 or
+# 1 and raises on anything fatal (see main's error table).
+# ----------------------------------------------------------------------
+def _identify_arguments(parser: argparse.ArgumentParser) -> None:
+    """Entity identification across two CSV relations (Lim et al., ICDE 1993)."""
     parser.add_argument(
         "--version", action="version", version=f"repro {package_version()}"
     )
-    parser.add_argument(
-        "r_csv", nargs="?", help="first source relation (CSV with header)"
-    )
-    parser.add_argument(
-        "s_csv", nargs="?", help="second source relation (CSV with header)"
-    )
-    parser.add_argument(
-        "--r-key", help="comma-separated key of the first relation"
-    )
-    parser.add_argument(
-        "--s-key", help="comma-separated key of the second relation"
-    )
-    parser.add_argument(
-        "--source",
-        action="append",
-        default=[],
-        metavar="NAME=CSV",
-        help="named source relation (repeatable); three or more route the "
-        "run through N-way multiway identification instead of the "
-        "pairwise pipeline (give each source's key with --key NAME=ATTRS)",
-    )
-    parser.add_argument(
-        "--key",
-        action="append",
-        default=[],
-        metavar="NAME=ATTRS",
-        help="comma-separated primary key of one named --source "
-        "(repeatable, one per source)",
-    )
+    _add_two_sources(parser, optional=True)
+    _add_named_sources(parser)
     parser.add_argument(
         "--on-conflict",
         choices=("first", "error", "null"),
@@ -445,35 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="name of the provenance column the multiway integrated "
         "table records contributing sources in (default 'sources')",
     )
-    parser.add_argument(
-        "--extended-key",
-        required=True,
-        help="comma-separated extended key (unified attribute names)",
-    )
-    parser.add_argument(
-        "--ilfd",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="inline ILFD, e.g. 'speciality=Mughalai -> cuisine=Indian' "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--ilfds-csv",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="ILFD table CSV: antecedent columns then one derived column "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--ilfds-file",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="ILFD knowledge-base text file, one 'a=x & b=y -> c=z' rule "
-        "per line (repeatable)",
-    )
+    _add_extended_key(parser)
+    _add_knowledge(parser, mine=True)
     parser.add_argument(
         "--out",
         help="write the merged integrated table to this CSV",
@@ -490,20 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead of identifying, enumerate candidate extended keys "
         "over the given --extended-key attributes and report which verify",
     )
-    parser.add_argument(
-        "--mine",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="mine candidate ILFDs from this CSV instance before "
-        "identifying; exceptionless candidates join the ILFD set "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress table printouts (exit status still reports soundness)",
-    )
+    _add_output(parser, json=False)
     parser.add_argument(
         "--blocker",
         choices=sorted(BLOCKERS),
@@ -522,108 +680,117 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1 = serial)",
     )
     parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="record a JSON-lines trace of the run (spans + metrics) "
-        "to FILE; inspect it later with 'repro stats FILE'",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the run's metrics summary (rule evaluations, ILFD "
-        "firings, match/non-match/unknown tallies)",
-    )
-    parser.add_argument(
         "--store",
         metavar="SPEC",
         help="persist tables and derivation journal: 'sqlite:PATH' (or a "
         "bare *.sqlite/*.db path) for a durable store, 'memory' for an "
         "ephemeral one; inspect later with 'repro explain-pair PATH ...'",
     )
-    _add_resilience_arguments(parser)
-    _add_telemetry_arguments(parser)
-    return parser
+    _add_resilience(parser)
+    _add_telemetry(parser)
 
 
-def build_stats_parser() -> argparse.ArgumentParser:
-    """The ``repro stats`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro stats",
-        description="Aggregate a JSON-lines trace recorded with "
-        "'repro identify --trace FILE': per-phase time totals, span "
-        "tree, and the metrics tables.",
-    )
-    parser.add_argument("trace_file", help="trace file written by --trace")
-    parser.add_argument(
-        "--tree",
-        action="store_true",
-        help="also print the full span tree (every span, nested)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the aggregated spans and metrics as JSON on stdout "
-        "(machine-readable; suppresses the text rendering)",
-    )
-    return parser
+def _identify(args) -> int:
+    """``repro identify``: 0 sound, 1 unsound/degraded."""
+    if args.source:
+        return _identify_multiway(args)
+    if not (args.r_csv and args.s_csv and args.r_key and args.s_key):
+        raise ValueError(
+            "the two-source form needs R.csv S.csv --r-key ... --s-key ... "
+            "(or name every source with repeatable --source NAME=CSV plus "
+            "--key NAME=ATTRS)"
+        )
+    r = read_csv(args.r_csv, keys=[_split_key(args.r_key)], name="R")
+    s = read_csv(args.s_csv, keys=[_split_key(args.s_key)], name="S")
+    ilfds = _collect_ilfds(args, quiet=args.quiet)
 
+    key_attributes = _split_key(args.extended_key)
+    if args.suggest_keys:
+        from repro.discovery import suggest_extended_keys
 
-def _collect_ilfds(args, *, quiet: bool = True) -> List[ILFD]:
-    """All ILFDs the shared --ilfd/--ilfds-csv/--ilfds-file/--mine flags name."""
-    ilfds: List[ILFD] = [parse_ilfd(text) for text in args.ilfd]
-    for path in args.ilfds_csv:
-        table_relation = read_csv(path, enforce_keys=False)
-        names = list(table_relation.schema.names)
-        table = ILFDTable(names[:-1], names[-1], list(table_relation), name=path)
-        ilfds.extend(table.to_ilfds())
-    for path in getattr(args, "ilfds_file", []):
-        from repro.ilfd.io import read_ilfds
+        suggestions = suggest_extended_keys(
+            r, s, key_attributes, ilfds=ilfds, include_unsound=True
+        )
+        for suggestion in suggestions:
+            print(suggestion)
+        return 0 if any(suggestion.is_sound for suggestion in suggestions) else 1
 
-        ilfds.extend(read_ilfds(path))
-    for path in getattr(args, "mine", []):
-        from repro.discovery import mine_ilfds
+    telemetry = _Telemetry(args, "identify", observe=bool(args.inject_faults))
+    tracer = telemetry.tracer
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
+    retry, injector = _make_resilience(args, tracer)
+    store = None
+    if args.store:
+        from repro.store import make_store
 
-        instance = read_csv(path, enforce_keys=False)
-        mined = mine_ilfds(instance, max_antecedent=2, min_support=2)
-        accepted = [m.ilfd for m in mined if m.is_exceptionless]
-        ilfds.extend(accepted)
-        if not quiet:
-            print(f"mined {len(accepted)} exceptionless ILFD(s) from {path}")
-    return ilfds
+        store = make_store(
+            args.store, tracer=tracer, retry_policy=retry, fault_injector=injector
+        )
+    try:
+        identifier = EntityIdentifier(
+            r,
+            s,
+            key_attributes,
+            ilfds=ilfds,
+            tracer=tracer,
+            blocker=make_blocker(args.blocker) if args.blocker else None,
+            executor=ParallelPairExecutor(
+                args.workers,
+                tracer=tracer,
+                retry_policy=retry,
+                fault_injector=injector,
+            ),
+            store=store,
+        )
+        if tracer is not None:
+            # An observed run computes the full pipeline (including the
+            # negative table) so the trace carries the complete
+            # match/non-match/unknown accounting.
+            result = identifier.run()
+            matching, report = result.matching, result.report
+        else:
+            matching = identifier.matching_table()
+            report = identifier.verify()
+        if store is not None:
+            # Persist the negative table too — the journal should account
+            # for every conclusion the run reached, not just the matches.
+            identifier.negative_matching_table()
+        if args.report:
+            from repro.core.report import identification_report
 
-
-def _parse_named_sources(source_specs, key_specs):
-    """``--source NAME=CSV`` + ``--key NAME=ATTRS`` → name → Relation.
-
-    Raises ``ValueError`` on malformed specs, duplicate names, or a
-    source with no key spec.
-    """
-    keys = {}
-    for spec in key_specs:
-        if "=" not in spec:
-            raise ValueError(f"--key {spec!r} is not of the form NAME=ATTRS")
-        name, _, attrs = spec.partition("=")
-        name = name.strip()
-        if name in keys:
-            raise ValueError(f"duplicate --key for source {name!r}")
-        keys[name] = _split_key(attrs)
-    sources = {}
-    for spec in source_specs:
-        if "=" not in spec:
-            raise ValueError(f"--source {spec!r} is not of the form NAME=CSV")
-        name, _, path = spec.partition("=")
-        name, path = name.strip(), path.strip()
-        if not name or not path:
-            raise ValueError(f"--source {spec!r} is not of the form NAME=CSV")
-        if name in sources:
-            raise ValueError(f"duplicate --source name {name!r}")
-        if name not in keys:
-            raise ValueError(f"--source {name!r} has no --key {name}=ATTRS")
-        sources[name] = read_csv(path, keys=[keys[name]], name=name)
-    unused = sorted(set(keys) - set(sources))
-    if unused:
-        raise ValueError(f"--key given for unknown source(s): {unused}")
-    return sources
+            print(identification_report(identifier))
+        elif not args.quiet:
+            print(format_relation(matching.to_relation(), title="matching table"))
+            print()
+            print(report.message)
+        if args.out:
+            write_csv(identifier.integrate().merged_view(), args.out)
+            if not args.quiet:
+                print(f"integrated table written to {args.out}")
+        if store is not None and not args.quiet:
+            counts = store.counts()
+            print(
+                f"store: {counts['matches']} match(es), "
+                f"{counts['non_matches']} non-match(es), "
+                f"{counts['journal']} journal entrie(s) "
+                f"persisted via {args.store}"
+            )
+    finally:
+        if store is not None:
+            store.close()
+    status = 0 if report.is_sound else 1
+    if tracer is not None and tracer.metrics.counter(
+        "resilience.pairs_quarantined"
+    ):
+        if not args.quiet:
+            print(
+                "warning: some candidate pairs were quarantined "
+                "(see resilience metrics)",
+                file=sys.stderr,
+            )
+        status = 1
+    return telemetry.finish(status, sound=report.is_sound)
 
 
 def _identify_multiway(args) -> int:
@@ -632,53 +799,30 @@ def _identify_multiway(args) -> int:
     Runs :class:`~repro.core.multiway.MultiwayIdentifier` over the named
     sources: prints the entity clusters and the generalized-uniqueness
     verdict; ``--out`` writes the integrated table merged under
-    ``--on-conflict``.  Exit codes as for pairwise identify.
+    ``--on-conflict``.
     """
     from repro.core.multiway import MultiwayIdentifier
 
     for flag, value in (("--store", args.store), ("--suggest-keys", args.suggest_keys)):
         if value:
-            print(
-                f"repro identify: {flag} is not supported with --source "
-                "(use 'repro entities build' to persist an N-way run)",
-                file=sys.stderr,
+            raise ValueError(
+                f"{flag} is not supported with --source (use 'repro "
+                "entities build' to persist an N-way run)"
             )
-            return 2
     if args.r_csv or args.s_csv or args.r_key or args.s_key:
-        print(
-            "repro identify: positional R/S files and --r-key/--s-key "
-            "cannot be mixed with --source",
-            file=sys.stderr,
+        raise ValueError(
+            "positional R/S files and --r-key/--s-key cannot be mixed "
+            "with --source"
         )
-        return 2
-    try:
-        sources = _parse_named_sources(args.source, args.key)
-        if len(sources) < 2:
-            raise ValueError("N-way identification needs at least two --source")
-        ilfds = _collect_ilfds(args, quiet=args.quiet)
-    except (OSError, ValueError) as exc:
-        print(f"repro identify: {exc}", file=sys.stderr)
-        return 2
-
-    profile_mode = _profile_mode(args)
-    tracer = None
-    if args.trace or args.metrics or profile_mode != "off":
-        from repro.observability import Tracer
-
-        tracer = Tracer(profile=profile_mode)
-    try:
-        identifier = MultiwayIdentifier(
-            sources,
-            _split_key(args.extended_key),
-            ilfds=ilfds,
-            tracer=tracer,
-        )
-        clusters = identifier.clusters()
-        report = identifier.verify()
-        conflicts = identifier.conflicts()
-    except CoreError as exc:
-        print(f"repro identify: {exc}", file=sys.stderr)
-        return 2
+    sources = _parse_named_sources(args.source, args.key)
+    ilfds = _collect_ilfds(args, quiet=args.quiet)
+    telemetry = _Telemetry(args, "identify")
+    identifier = MultiwayIdentifier(
+        sources, _split_key(args.extended_key), ilfds=ilfds, tracer=telemetry.tracer
+    )
+    clusters = identifier.clusters()
+    report = identifier.verify()
+    conflicts = identifier.conflicts()
     if not args.quiet:
         key_attrs = identifier.extended_key.attributes
         print(f"{len(clusters)} entity cluster(s) across {len(sources)} sources")
@@ -698,216 +842,28 @@ def _identify_multiway(args) -> int:
         else:
             print(f"uniqueness VIOLATED: {dict(report.violations)!r}")
     if args.out:
-        try:
-            integrated = identifier.integrate(
-                source_column=args.source_column, on_conflict=args.on_conflict
-            )
-        except CoreError as exc:
-            print(f"repro identify: {exc}", file=sys.stderr)
-            return 2
+        integrated = identifier.integrate(
+            source_column=args.source_column, on_conflict=args.on_conflict
+        )
         write_csv(integrated, args.out)
         if not args.quiet:
             print(f"integrated table written to {args.out}")
-    if tracer is not None:
-        if args.metrics:
-            from repro.observability import format_metrics
-
-            print()
-            print(format_metrics(tracer.metrics.snapshot()))
-        if args.trace:
-            from repro.observability import write_trace_jsonl
-
-            try:
-                records = write_trace_jsonl(tracer, args.trace)
-            except OSError as exc:
-                print(f"repro identify: cannot write trace: {exc}", file=sys.stderr)
-                return 2
-            if not args.quiet:
-                print(f"trace ({records} records) written to {args.trace}")
-    return 0 if report.is_sound else 1
+    return telemetry.finish(0 if report.is_sound else 1, sound=report.is_sound)
 
 
-def identify_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro identify``: 0 sound, 1 unsound/degraded, 2 fatal."""
-    args = build_parser().parse_args(argv)
-    if args.source:
-        return _identify_multiway(args)
-    if not (args.r_csv and args.s_csv and args.r_key and args.s_key):
-        print(
-            "repro identify: the two-source form needs R.csv S.csv "
-            "--r-key ... --s-key ... (or name every source with "
-            "repeatable --source NAME=CSV plus --key NAME=ATTRS)",
-            file=sys.stderr,
-        )
-        return 2
-    r = read_csv(args.r_csv, keys=[_split_key(args.r_key)], name="R")
-    s = read_csv(args.s_csv, keys=[_split_key(args.s_key)], name="S")
-    ilfds = _collect_ilfds(args, quiet=args.quiet)
-
-    key_attributes = _split_key(args.extended_key)
-    if args.suggest_keys:
-        from repro.discovery import suggest_extended_keys
-
-        suggestions = suggest_extended_keys(
-            r, s, key_attributes, ilfds=ilfds, include_unsound=True
-        )
-        sound = [s for s in suggestions if s.is_sound]
-        for suggestion in suggestions:
-            print(suggestion)
-        return 0 if sound else 1
-
-    profile_mode = _profile_mode(args)
-    observing = bool(
-        args.trace
-        or args.metrics
-        or args.inject_faults
-        or args.ledger
-        or profile_mode != "off"
+def _stats_arguments(parser: argparse.ArgumentParser) -> None:
+    """Aggregate a JSON-lines trace recorded with 'repro identify --trace
+    FILE': per-phase time totals, span tree, and the metrics tables."""
+    parser.add_argument("trace_file", help="trace file written by --trace")
+    parser.add_argument(
+        "--tree",
+        action="store_true",
+        help="also print the full span tree (every span, nested)",
     )
-    tracer = None
-    recorder = None
-    if observing:
-        from repro.observability import Tracer
-
-        tracer = Tracer(profile=profile_mode)
-    if args.ledger:
-        from repro.telemetry import RunRecorder
-
-        recorder = RunRecorder("identify", _telemetry_config(args, "identify"))
-
-    if args.workers < 1:
-        print("repro identify: --workers must be >= 1", file=sys.stderr)
-        return 2
-    from repro.resilience import FaultPlanError
-
-    try:
-        retry, injector = _make_resilience(args, tracer)
-    except (FaultPlanError, ValueError) as exc:
-        print(f"repro identify: {exc}", file=sys.stderr)
-        return 2
-    store = None
-    if args.store:
-        from repro.store import StoreError, make_store
-
-        try:
-            store = make_store(
-                args.store,
-                tracer=tracer,
-                retry_policy=retry,
-                fault_injector=injector,
-            )
-        except StoreError as exc:
-            print(f"repro identify: {exc}", file=sys.stderr)
-            return 2
-    identifier = EntityIdentifier(
-        r,
-        s,
-        key_attributes,
-        ilfds=ilfds,
-        tracer=tracer,
-        blocker=make_blocker(args.blocker) if args.blocker else None,
-        executor=ParallelPairExecutor(
-            args.workers,
-            tracer=tracer,
-            retry_policy=retry,
-            fault_injector=injector,
-        ),
-        store=store,
-    )
-    from repro.resilience import ResilienceError
-
-    try:
-        if observing:
-            # The full pipeline (including the negative table) so the
-            # trace carries the complete match/non-match/unknown
-            # accounting.
-            result = identifier.run()
-            matching, report = result.matching, result.report
-        else:
-            matching = identifier.matching_table()
-            report = identifier.verify()
-        if store is not None:
-            # Persist the negative table too — the journal should account
-            # for every conclusion the run reached, not just the matches.
-            identifier.negative_matching_table()
-    except (ConsistencyError, ResilienceError) as exc:
-        # Fatal either way: the rules contradict each other on some pair
-        # (a match some distinctness rule declares distinct), or recovery
-        # gave up (retries exhausted, unrecoverable injected fault).  The
-        # run produced no trustworthy result.
-        print(f"repro identify: {exc}", file=sys.stderr)
-        if store is not None:
-            store.close()
-        return 2
-    if args.report:
-        from repro.core.report import identification_report
-
-        print(identification_report(identifier))
-    elif not args.quiet:
-        print(format_relation(matching.to_relation(), title="matching table"))
-        print()
-        print(report.message)
-    if args.out:
-        integrated = identifier.integrate()
-        write_csv(integrated.merged_view(), args.out)
-        if not args.quiet:
-            print(f"integrated table written to {args.out}")
-    if tracer is not None:
-        if profile_mode != "off" and not args.quiet:
-            from repro.observability import format_profile
-
-            print()
-            print(format_profile(tracer))
-        if args.metrics:
-            from repro.observability import format_metrics
-
-            print()
-            print(format_metrics(tracer.metrics.snapshot()))
-        if args.trace:
-            from repro.observability import write_trace_jsonl
-
-            try:
-                records = write_trace_jsonl(tracer, args.trace)
-            except OSError as exc:
-                print(f"repro identify: cannot write trace: {exc}",
-                      file=sys.stderr)
-                return 2
-            if not args.quiet:
-                print(f"trace ({records} records) written to {args.trace}")
-    if store is not None:
-        counts = store.counts()
-        if not args.quiet:
-            print(
-                f"store: {counts['matches']} match(es), "
-                f"{counts['non_matches']} non-match(es), "
-                f"{counts['journal']} journal entrie(s) "
-                f"persisted via {args.store}"
-            )
-        store.close()
-    status = 0 if report.is_sound else 1
-    if tracer is not None and tracer.metrics.counter(
-        "resilience.pairs_quarantined"
-    ):
-        if not args.quiet:
-            print(
-                "warning: some candidate pairs were quarantined "
-                "(see resilience metrics)",
-                file=sys.stderr,
-            )
-        status = max(status, 1)
-    if recorder is not None:
-        ledger_status = _append_run_report(
-            args,
-            "identify",
-            recorder,
-            tracer,
-            {"exit_status": status, "sound": report.is_sound},
-        )
-        status = max(status, ledger_status)
-    return status
+    _add_output(parser, quiet=False)
 
 
-def stats_main(argv: Optional[Sequence[str]] = None) -> int:
+def _stats(args) -> int:
     """``repro stats``: render a recorded JSON-lines trace."""
     from repro.observability import (
         format_span_tree,
@@ -915,14 +871,9 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
         read_trace_jsonl,
     )
 
-    args = build_stats_parser().parse_args(argv)
-    try:
-        spans, metrics = read_trace_jsonl(args.trace_file)
-    except (OSError, ValueError) as exc:
-        print(f"repro stats: {exc}", file=sys.stderr)
-        return 2
+    spans, metrics = read_trace_jsonl(args.trace_file)
     if args.json:
-        import json as json_module
+        import json
 
         from repro.telemetry import aggregate_phases
 
@@ -936,7 +887,7 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
         }
         if args.tree:
             payload["tree"] = spans
-        print(json_module.dumps(payload, indent=2, sort_keys=False))
+        print(json.dumps(payload, indent=2, sort_keys=False))
         return 0
     print(format_trace_summary(spans, metrics))
     if args.tree:
@@ -945,61 +896,52 @@ def stats_main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def build_checkpoint_parser() -> argparse.ArgumentParser:
-    """The ``repro checkpoint`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro checkpoint",
-        description="Load two CSV relations into an incremental "
-        "identification session and snapshot it — sources, matching "
-        "table, derivation journal, and delta cursor — into one SQLite "
-        "checkpoint that 'repro resume' can continue from.",
-    )
-    parser.add_argument("r_csv", help="first source relation (CSV with header)")
-    parser.add_argument("s_csv", help="second source relation (CSV with header)")
+def _checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
+    """Load two CSV relations into an incremental identification session
+    and snapshot it — sources, matching table, derivation journal, and
+    delta cursor — into one SQLite checkpoint that 'repro resume' can
+    continue from."""
+    _add_two_sources(parser)
     parser.add_argument("checkpoint_file", help="checkpoint to write (SQLite)")
-    parser.add_argument(
-        "--r-key", required=True, help="comma-separated key of the first relation"
-    )
-    parser.add_argument(
-        "--s-key", required=True, help="comma-separated key of the second relation"
-    )
-    parser.add_argument(
-        "--extended-key",
-        required=True,
-        help="comma-separated extended key (unified attribute names)",
-    )
-    parser.add_argument(
-        "--ilfd",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="inline ILFD, e.g. 'speciality=Mughalai -> cuisine=Indian' "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--ilfds-file",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="ILFD knowledge-base text file, one rule per line (repeatable)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the summary printout"
-    )
-    _add_resilience_arguments(parser)
-    return parser
+    _add_extended_key(parser)
+    _add_knowledge(parser, tables=False)
+    _add_output(parser, json=False)
+    _add_resilience(parser)
 
 
-def build_resume_parser() -> argparse.ArgumentParser:
-    """The ``repro resume`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro resume",
-        description="Reload a checkpoint written by 'repro checkpoint' "
-        "(replaying the derivation journal to verify it explains the "
-        "stored tables) and continue the session: apply further inserts "
-        "and new ILFDs without re-evaluating settled pairs.  Updates "
-        "persist into the same checkpoint file.",
+def _checkpoint(args) -> int:
+    """``repro checkpoint``: 0 once the checkpoint is written."""
+    from repro.federation.incremental import IncrementalIdentifier
+
+    retry, injector = _make_resilience(args)
+    r = read_csv(args.r_csv, keys=[_split_key(args.r_key)], name="R")
+    s = read_csv(args.s_csv, keys=[_split_key(args.s_key)], name="S")
+    identifier = IncrementalIdentifier(
+        r.schema,
+        s.schema,
+        _split_key(args.extended_key),
+        ilfds=_collect_ilfds(args),
+        retry_policy=retry,
+        fault_injector=injector,
     )
+    identifier.load(r, s)
+    identifier.checkpoint(args.checkpoint_file)
+    if not args.quiet:
+        size = os.path.getsize(args.checkpoint_file)
+        print(
+            f"checkpoint written to {args.checkpoint_file}: "
+            f"{len(identifier.match_pairs())} match(es), "
+            f"version {identifier.version}, {size} bytes"
+        )
+    return 0
+
+
+def _resume_arguments(parser: argparse.ArgumentParser) -> None:
+    """Reload a checkpoint written by 'repro checkpoint' (replaying the
+    derivation journal to verify it explains the stored tables) and
+    continue the session: apply further inserts and new ILFDs without
+    re-evaluating settled pairs.  Updates persist into the same
+    checkpoint file."""
     parser.add_argument("checkpoint_file", help="checkpoint written earlier")
     parser.add_argument(
         "--insert-r",
@@ -1015,13 +957,7 @@ def build_resume_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="CSV of new S tuples to insert after resuming (repeatable)",
     )
-    parser.add_argument(
-        "--ilfd",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="new ILFD to supply after resuming (repeatable)",
-    )
+    _add_knowledge(parser, tables=False, files=False)
     parser.add_argument(
         "--no-verify",
         action="store_true",
@@ -1068,92 +1004,9 @@ def build_resume_parser() -> argparse.ArgumentParser:
         help="extended key to use when the checkpoint's own metadata "
         "is unrecoverable",
     )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress table printouts (exit status still reports soundness)",
-    )
-    _add_resilience_arguments(parser)
-    _add_telemetry_arguments(parser)
-    return parser
-
-
-def build_explain_parser() -> argparse.ArgumentParser:
-    """The ``repro explain-pair`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro explain-pair",
-        description="Reconstruct, from the derivation journal alone, the "
-        "rule-firing chain behind one pair persisted in a store or "
-        "checkpoint: ILFD derivations, identity/distinctness firings, "
-        "assertions, retractions, and the pair's current verdict.",
-    )
-    parser.add_argument(
-        "store_file", help="SQLite store or checkpoint holding the journal"
-    )
-    parser.add_argument(
-        "--r",
-        metavar="KEYSPEC",
-        help="R tuple key as 'attr=value,attr=value'",
-    )
-    parser.add_argument(
-        "--s",
-        metavar="KEYSPEC",
-        help="S tuple key as 'attr=value,attr=value'",
-    )
-    return parser
-
-
-def _session_from_args(args, retry_policy=None, fault_injector=None) -> "object":
-    """Build and load the IncrementalIdentifier 'repro checkpoint' snapshots."""
-    from repro.federation.incremental import IncrementalIdentifier
-
-    r = read_csv(args.r_csv, keys=[_split_key(args.r_key)], name="R")
-    s = read_csv(args.s_csv, keys=[_split_key(args.s_key)], name="S")
-    ilfds: List[ILFD] = [parse_ilfd(text) for text in args.ilfd]
-    for path in args.ilfds_file:
-        from repro.ilfd.io import read_ilfds
-
-        ilfds.extend(read_ilfds(path))
-    identifier = IncrementalIdentifier(
-        r.schema,
-        s.schema,
-        _split_key(args.extended_key),
-        ilfds=ilfds,
-        retry_policy=retry_policy,
-        fault_injector=fault_injector,
-    )
-    identifier.load(r, s)
-    return identifier
-
-
-def checkpoint_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro checkpoint``: 0 on success, 2 on a fatal failure."""
-    from repro.resilience import FaultPlanError, ResilienceError
-
-    args = build_checkpoint_parser().parse_args(argv)
-    try:
-        retry, injector = _make_resilience(args, None)
-    except (FaultPlanError, ValueError) as exc:
-        print(f"repro checkpoint: {exc}", file=sys.stderr)
-        return 2
-    try:
-        identifier = _session_from_args(
-            args, retry_policy=retry, fault_injector=injector
-        )
-        identifier.checkpoint(args.checkpoint_file)
-    except (CoreError, ResilienceError) as exc:
-        print(f"repro checkpoint: {exc}", file=sys.stderr)
-        return 2
-    if not args.quiet:
-        import os
-
-        size = os.path.getsize(args.checkpoint_file)
-        print(
-            f"checkpoint written to {args.checkpoint_file}: "
-            f"{len(identifier.match_pairs())} match(es), "
-            f"version {identifier.version}, {size} bytes"
-        )
-    return 0
+    _add_output(parser, json=False)
+    _add_resilience(parser)
+    _add_telemetry(parser, trace=False)
 
 
 def _salvage_session(args):
@@ -1185,70 +1038,42 @@ def _salvage_session(args):
     )
 
 
-def resume_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro resume``: 0 sound, 1 unsound or salvaged, 2 fatal."""
+def _resume(args) -> int:
+    """``repro resume``: 0 sound, 1 unsound or salvaged."""
     from repro.federation.incremental import IncrementalIdentifier
     from repro.store import StoreError, StoreIntegrityError
 
-    from repro.resilience import FaultPlanError
-
-    args = build_resume_parser().parse_args(argv)
-    profile_mode = _profile_mode(args)
-    tracer = None
-    recorder = None
-    if args.ledger or profile_mode != "off":
-        from repro.observability import Tracer
-
-        tracer = Tracer(profile=profile_mode)
-    if args.ledger:
-        from repro.telemetry import RunRecorder
-
-        recorder = RunRecorder("resume", _telemetry_config(args, "resume"))
-    try:
-        retry, injector = _make_resilience(args, tracer)
-    except (FaultPlanError, ValueError) as exc:
-        print(f"repro resume: {exc}", file=sys.stderr)
-        return 2
+    _existing_store(args.checkpoint_file)
+    telemetry = _Telemetry(args, "resume")
+    retry, injector = _make_resilience(args, telemetry.tracer)
     salvaged = False
     try:
         identifier = IncrementalIdentifier.resume(
             args.checkpoint_file,
             verify=not args.no_verify,
-            tracer=tracer,
+            tracer=telemetry.tracer,
             retry_policy=retry,
             fault_injector=injector,
         )
-    except CoreError as exc:
-        print(f"repro resume: {exc}", file=sys.stderr)
-        return 2
-    except (StoreError, StoreIntegrityError) as exc:
+    except StoreError as exc:
         if not args.salvage:
-            print(f"repro resume: {exc}", file=sys.stderr)
             if isinstance(exc, StoreIntegrityError):
-                print(
-                    "repro resume: the checkpoint looks damaged; "
-                    "--salvage can recover the surviving state",
-                    file=sys.stderr,
-                )
-            return 2
+                raise StoreIntegrityError(
+                    f"{exc} (the checkpoint looks damaged; --salvage can "
+                    "recover the surviving state)"
+                ) from exc
+            raise
         print(
             f"repro resume: checkpoint damaged ({exc}); salvaging...",
             file=sys.stderr,
         )
-        try:
-            identifier, salvage_report = _salvage_session(args)
-        except (StoreError, StoreIntegrityError, OSError) as salvage_exc:
-            print(f"repro resume: salvage failed: {salvage_exc}",
-                  file=sys.stderr)
-            return 2
+        identifier, salvage_report = _salvage_session(args)
         salvaged = True
         if not args.quiet:
             print(salvage_report.summary())
             print()
     resumed_version = identifier.version
     added = 0
-    from repro.resilience import ResilienceError
-
     try:
         for path in args.insert_r:
             for row in read_csv(path, enforce_keys=False):
@@ -1257,104 +1082,74 @@ def resume_main(argv: Optional[Sequence[str]] = None) -> int:
             for row in read_csv(path, enforce_keys=False):
                 added += len(identifier.insert_s(row).added)
         if args.ilfd:
-            added += len(
-                identifier.add_ilfds(
-                    [parse_ilfd(text) for text in args.ilfd]
-                ).added
+            added += len(identifier.add_ilfds(_collect_ilfds(args)).added)
+        report = identifier.verify()
+        if not args.quiet:
+            print(
+                f"resumed {args.checkpoint_file} at version {resumed_version}; "
+                f"now version {identifier.version}, "
+                f"{len(identifier.match_pairs())} match(es) "
+                f"({added} added this session)"
             )
-    except (CoreError, ResilienceError) as exc:
-        print(f"repro resume: {exc}", file=sys.stderr)
+            print()
+            print(
+                format_relation(
+                    identifier.matching_table().to_relation(),
+                    title="matching table",
+                )
+            )
+            print()
+            print(report.message)
+    finally:
         identifier.store.close()
-        return 2
-    report = identifier.verify()
-    if not args.quiet:
-        print(
-            f"resumed {args.checkpoint_file} at version {resumed_version}; "
-            f"now version {identifier.version}, "
-            f"{len(identifier.match_pairs())} match(es) "
-            f"({added} added this session)"
-        )
-        print()
-        print(
-            format_relation(
-                identifier.matching_table().to_relation(),
-                title="matching table",
-            )
-        )
-        print()
-        print(report.message)
-    identifier.store.close()
-    status = 0 if report.is_sound else 1
-    if salvaged:
-        status = max(status, 1)
-    if tracer is not None and profile_mode != "off" and not args.quiet:
-        from repro.observability import format_profile
-
-        print()
-        print(format_profile(tracer))
-    if recorder is not None:
-        ledger_status = _append_run_report(
-            args,
-            "resume",
-            recorder,
-            tracer,
-            {
-                "exit_status": status,
-                "sound": report.is_sound,
-                "salvaged": salvaged,
-                "added": added,
-            },
-        )
-        status = max(status, ledger_status)
-    return status
+    return telemetry.finish(
+        0 if report.is_sound and not salvaged else 1,
+        sound=report.is_sound,
+        salvaged=salvaged,
+        added=added,
+    )
 
 
-def explain_pair_main(argv: Optional[Sequence[str]] = None) -> int:
+def _explain_pair_arguments(parser: argparse.ArgumentParser) -> None:
+    """Reconstruct, from the derivation journal alone, the rule-firing
+    chain behind one pair persisted in a store or checkpoint: ILFD
+    derivations, identity/distinctness firings, assertions, retractions,
+    and the pair's current verdict."""
+    parser.add_argument(
+        "store_file", help="SQLite store or checkpoint holding the journal"
+    )
+    parser.add_argument(
+        "--r",
+        metavar="KEYSPEC",
+        help="R tuple key as 'attr=value,attr=value'",
+    )
+    parser.add_argument(
+        "--s",
+        metavar="KEYSPEC",
+        help="S tuple key as 'attr=value,attr=value'",
+    )
+
+
+def _explain_pair(args) -> int:
     """``repro explain-pair``: journal-backed provenance for one pair."""
-    import os
+    from repro.store import SqliteStore, explain_pair
 
-    from repro.store import SqliteStore, StoreError, explain_pair
-
-    args = build_explain_parser().parse_args(argv)
     if args.r is None and args.s is None:
-        print("repro explain-pair: give --r and/or --s", file=sys.stderr)
-        return 2
-    try:
-        r_key = parse_key_spec(args.r) if args.r else None
-        s_key = parse_key_spec(args.s) if args.s else None
-    except ValueError as exc:
-        print(f"repro explain-pair: {exc}", file=sys.stderr)
-        return 2
-    if not os.path.exists(args.store_file):
-        print(
-            f"repro explain-pair: no such store: {args.store_file}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        store = SqliteStore(args.store_file)
-    except StoreError as exc:
-        print(f"repro explain-pair: {exc}", file=sys.stderr)
-        return 2
-    try:
+        raise ValueError("give --r and/or --s")
+    r_key = parse_key_spec(args.r) if args.r else None
+    s_key = parse_key_spec(args.s) if args.s else None
+    with SqliteStore(_existing_store(args.store_file)) as store:
         entries = store.journal_entries(r_key=r_key, s_key=s_key)
         print(explain_pair(entries, r_key, s_key))
-    finally:
-        store.close()
     return 0
 
 
-def build_conform_parser() -> argparse.ArgumentParser:
-    """The ``repro conform`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro conform",
-        description="Run the conformance suite: the differential "
-        "configuration matrix (every engine configuration must produce "
-        "bit-identical canonical matching tables), the Section-3 oracles "
-        "(soundness, completeness, uniqueness, consistency), the "
-        "metamorphic relations, and optionally the golden-corpus drift "
-        "check.",
-    )
+def _conform_arguments(parser: argparse.ArgumentParser) -> None:
+    """Run the conformance suite: the differential configuration matrix
+    (every engine configuration must produce bit-identical canonical
+    matching tables), the Section-3 oracles (soundness, completeness,
+    uniqueness, consistency), the metamorphic relations, and optionally
+    the golden-corpus drift check."""
     parser.add_argument(
         "workloads",
         nargs="*",
@@ -1419,29 +1214,8 @@ def build_conform_parser() -> argparse.ArgumentParser:
         help="restrict the golden check/update to this corpus workload "
         "(repeatable; default: the whole corpus)",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full machine-readable report as JSON on stdout",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the human-readable summaries (exit status still "
-        "reports the verdict)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="record a JSON-lines trace (spans + conformance.* metrics)",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the conformance metrics summary after the run",
-    )
-    _add_telemetry_arguments(parser)
-    return parser
+    _add_output(parser)
+    _add_telemetry(parser)
 
 
 _CONFORM_WORKLOADS = ("restaurants", "employees", "publications")
@@ -1459,12 +1233,8 @@ def _conform_workload(name: str, entities: int, seed: int):
         return workloads.employee_workload(
             workloads.EmployeeWorkloadSpec(n_entities=entities, seed=seed)
         )
-    if name == "publications":
-        return workloads.publication_workload(
-            workloads.PublicationWorkloadSpec(n_entities=entities, seed=seed)
-        )
-    raise ValueError(
-        f"unknown workload {name!r}; expected one of {_CONFORM_WORKLOADS}"
+    return workloads.publication_workload(
+        workloads.PublicationWorkloadSpec(n_entities=entities, seed=seed)
     )
 
 
@@ -1490,12 +1260,25 @@ def _conform_oracles(workload, tracer):
     )
 
 
-def conform_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro conform``: 0 green, 1 mismatch/violation/drift, 2 fatal."""
-    import json as json_module
+def _drift_found(drift: dict, label: str, metric: str, tracer, chatty: bool) -> bool:
+    """Count and print a frozen-reference drift check; True on drift."""
+    if tracer is not None:
+        tracer.metrics.inc(metric, len(drift))
+    if chatty:
+        if drift:
+            print(f"{label} DRIFTED:")
+            for name, detail in sorted(drift.items()):
+                print(f"  {name}: {detail}")
+        else:
+            print(f"{label}: no drift")
+    return bool(drift)
+
+
+def _conform(args) -> int:
+    """``repro conform``: 0 green, 1 mismatch/violation/drift."""
+    import json
 
     from repro.conformance import (
-        ConformanceError,
         check_golden,
         full_matrix,
         run_matrix,
@@ -1504,164 +1287,99 @@ def conform_main(argv: Optional[Sequence[str]] = None) -> int:
         update_golden,
     )
 
-    args = build_conform_parser().parse_args(argv)
     names = list(args.workloads) or list(_CONFORM_WORKLOADS)
     unknown = [n for n in names if n not in _CONFORM_WORKLOADS]
     if unknown:
-        print(
-            f"repro conform: unknown workload(s) {unknown}; "
-            f"expected {list(_CONFORM_WORKLOADS)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown workload(s) {unknown}; "
+            f"expected {list(_CONFORM_WORKLOADS)}"
         )
-        return 2
     if args.update_golden and not args.golden:
-        print("repro conform: --update-golden requires --golden DIR",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--update-golden requires --golden DIR")
     if args.entities < 2:
-        print("repro conform: --entities must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("--entities must be >= 2")
 
-    profile_mode = _profile_mode(args)
-    tracer = None
-    recorder = None
-    if args.trace or args.metrics or args.ledger or profile_mode != "off":
-        from repro.observability import Tracer
-
-        tracer = Tracer(profile=profile_mode)
-    if args.ledger:
-        from repro.telemetry import RunRecorder
-
-        recorder = RunRecorder("conform", _telemetry_config(args, "conform"))
-
+    telemetry = _Telemetry(args, "conform")
+    tracer = telemetry.tracer
+    chatty = not args.quiet and not args.json
     degraded = False
     output = {"ok": True, "workloads": {}}
-    try:
-        for name in names:
-            workload = _conform_workload(name, args.entities, args.seed)
-            entry = {}
-            if args.matrix != "none":
-                cells = (
-                    strict_matrix() if args.matrix == "strict" else full_matrix()
-                )
-                matrix_report = run_matrix(
-                    workload,
-                    cells,
-                    name=name,
-                    include_prototype=not args.no_prototype,
-                    tracer=tracer,
-                )
-                entry["differential"] = {
-                    "green": matrix_report.is_green,
-                    "cells": len(matrix_report.outcomes),
-                    "mt_fingerprint": matrix_report.baseline.tables.mt_fingerprint,
-                    "nmt_fingerprint": matrix_report.baseline.tables.nmt_fingerprint,
-                    "mismatches": [
-                        m.summary() for m in matrix_report.mismatches
-                    ],
-                    "prototype_agrees": matrix_report.prototype_agrees,
-                    "reference_agrees": matrix_report.reference_agrees,
-                }
-                degraded = degraded or not matrix_report.is_green
-                if not args.quiet and not args.json:
-                    print(matrix_report.summary())
-            if not args.no_oracles:
-                oracle_report = _conform_oracles(workload, tracer)
-                entry["oracles"] = oracle_report.to_dict()
-                degraded = degraded or not oracle_report.ok
-                if not args.quiet and not args.json:
-                    print(f"oracles [{name}]:")
-                    for line in oracle_report.summary().splitlines():
-                        print("  " + line)
-            if not args.no_metamorphic:
-                meta_report = run_metamorphic(
-                    workload, name=name, seed=args.seed, tracer=tracer
-                )
-                entry["metamorphic"] = {
-                    "ok": meta_report.ok,
-                    "cases": [o.summary() for o in meta_report.outcomes],
-                }
-                degraded = degraded or not meta_report.ok
-                if not args.quiet and not args.json:
-                    print(meta_report.summary())
-            output["workloads"][name] = entry
+    for name in names:
+        workload = _conform_workload(name, args.entities, args.seed)
+        entry = {}
+        if args.matrix != "none":
+            cells = strict_matrix() if args.matrix == "strict" else full_matrix()
+            matrix_report = run_matrix(
+                workload,
+                cells,
+                name=name,
+                include_prototype=not args.no_prototype,
+                tracer=tracer,
+            )
+            entry["differential"] = {
+                "green": matrix_report.is_green,
+                "cells": len(matrix_report.outcomes),
+                "mt_fingerprint": matrix_report.baseline.tables.mt_fingerprint,
+                "nmt_fingerprint": matrix_report.baseline.tables.nmt_fingerprint,
+                "mismatches": [m.summary() for m in matrix_report.mismatches],
+                "prototype_agrees": matrix_report.prototype_agrees,
+                "reference_agrees": matrix_report.reference_agrees,
+            }
+            degraded = degraded or not matrix_report.is_green
+            if chatty:
+                print(matrix_report.summary())
+        if not args.no_oracles:
+            oracle_report = _conform_oracles(workload, tracer)
+            entry["oracles"] = oracle_report.to_dict()
+            degraded = degraded or not oracle_report.ok
+            if chatty:
+                print(f"oracles [{name}]:")
+                for line in oracle_report.summary().splitlines():
+                    print("  " + line)
+        if not args.no_metamorphic:
+            meta_report = run_metamorphic(
+                workload, name=name, seed=args.seed, tracer=tracer
+            )
+            entry["metamorphic"] = {
+                "ok": meta_report.ok,
+                "cases": [o.summary() for o in meta_report.outcomes],
+            }
+            degraded = degraded or not meta_report.ok
+            if chatty:
+                print(meta_report.summary())
+        output["workloads"][name] = entry
 
-        if args.golden:
-            golden_names = args.golden_workload or None
-            if args.update_golden:
-                paths = update_golden(args.golden, golden_names)
-                output["golden"] = {"updated": paths}
-                if not args.quiet and not args.json:
-                    print(f"golden corpus re-frozen: {len(paths)} file(s) "
-                          f"in {args.golden}")
-            else:
-                drift = check_golden(args.golden, golden_names)
-                output["golden"] = {"drift": drift}
-                degraded = degraded or bool(drift)
-                if tracer is not None:
-                    tracer.metrics.inc("conformance.golden_drift", len(drift))
-                if not args.quiet and not args.json:
-                    if drift:
-                        print("golden corpus DRIFTED:")
-                        for workload_name, detail in sorted(drift.items()):
-                            print(f"  {workload_name}: {detail}")
-                    else:
-                        print("golden corpus: no drift")
-    except ConformanceError as exc:
-        print(f"repro conform: {exc}", file=sys.stderr)
-        return 2
+    if args.golden:
+        golden_names = args.golden_workload or None
+        if args.update_golden:
+            paths = update_golden(args.golden, golden_names)
+            output["golden"] = {"updated": paths}
+            if chatty:
+                print(f"golden corpus re-frozen: {len(paths)} file(s) "
+                      f"in {args.golden}")
+        else:
+            drift = check_golden(args.golden, golden_names)
+            output["golden"] = {"drift": drift}
+            degraded = _drift_found(
+                drift, "golden corpus", "conformance.golden_drift", tracer, chatty
+            ) or degraded
 
     output["ok"] = not degraded
     if args.json:
-        print(json_module.dumps(output, indent=2, sort_keys=False))
+        print(json.dumps(output, indent=2, sort_keys=False))
     elif not args.quiet:
         print("conformance: " + ("all green" if not degraded else "DEGRADED"))
-    if tracer is not None:
-        if profile_mode != "off" and not args.quiet and not args.json:
-            from repro.observability import format_profile
-
-            print()
-            print(format_profile(tracer))
-        if args.metrics:
-            from repro.observability import format_metrics
-
-            print()
-            print(format_metrics(tracer.metrics.snapshot()))
-        if args.trace:
-            from repro.observability import write_trace_jsonl
-
-            try:
-                write_trace_jsonl(tracer, args.trace)
-            except OSError as exc:
-                print(f"repro conform: cannot write trace: {exc}",
-                      file=sys.stderr)
-                return 2
-    status = 1 if degraded else 0
-    if recorder is not None:
-        ledger_status = _append_run_report(
-            args,
-            "conform",
-            recorder,
-            tracer,
-            {"exit_status": status, "ok": not degraded},
-        )
-        status = max(status, ledger_status)
-    return status
+    return telemetry.finish(1 if degraded else 0, ok=not degraded)
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    """The ``repro serve`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve match lookups and search-before-insert "
-        "ingestion over a persisted store as JSON-over-HTTP: "
-        "GET /resolve returns a key's row, entity cluster, matched "
-        "pairs, and journal provenance; POST /ingest routes a new tuple "
-        "through extended-key resolution before inserting it, journaled "
-        "with rule attribution exactly like a batch run.  Reads go "
-        "through per-worker read-only WAL replicas behind an LRU cache; "
-        "GET /metrics exposes serving.* counters in Prometheus format.",
-    )
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """Serve match lookups and search-before-insert ingestion over a
+    persisted store as JSON-over-HTTP: GET /resolve returns a key's row,
+    entity cluster, matched pairs, and journal provenance; POST /ingest
+    routes a new tuple through extended-key resolution before inserting
+    it, journaled with rule attribution exactly like a batch run.  Reads
+    go through per-worker read-only WAL replicas behind an LRU cache;
+    GET /metrics exposes serving.* counters in Prometheus format."""
     parser.add_argument(
         "--store",
         required=True,
@@ -1713,41 +1431,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="never serve invalidated cache entries during degradation; "
         "fail with 503 instead",
     )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="reopen-and-retry failed replica reads up to N times "
-        "(default 1 = no retries)",
+    _add_resilience(
+        parser,
+        faults="deterministic fault plan fired at the serving sites "
+        "(serving.request, serving.invalidate, store.commit), e.g. "
+        "'serving.request:error@5' or 'serving.request:kill@25' for a "
+        "real mid-request SIGKILL — the chaos harness's hook; see "
+        "'repro identify --inject-faults' for the grammar",
     )
-    parser.add_argument(
-        "--retry-delay",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="base backoff delay between replica retries (default 0.01)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="on shutdown, write the retained request spans and all "
-        "serving.* metrics as a JSON-lines trace (render with "
-        "'repro stats FILE')",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the metrics tables on shutdown (the same numbers "
-        "GET /metrics serves while running)",
-    )
-    parser.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="append this serving run's report (requests served, "
-        "latencies, cache and degradation counters) to the SQLite run "
-        "ledger at PATH on shutdown",
-    )
+    _add_telemetry(parser, profile=False)
     parser.add_argument(
         "--max-queue",
         type=int,
@@ -1821,133 +1513,68 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="on SIGINT/SIGTERM, wait up to this long for in-flight "
         "requests to finish before closing (default 10)",
     )
-    parser.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        help="deterministic fault plan fired at the serving sites "
-        "(serving.request, serving.invalidate, store.commit), e.g. "
-        "'serving.request:error@5' or 'serving.request:kill@25' for a "
-        "real mid-request SIGKILL — the chaos harness's hook; see "
-        "'repro identify --inject-faults' for the grammar",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the readiness line"
-    )
-    return parser
+    _add_output(parser, json=False)
 
 
-def serve_main(argv: Optional[Sequence[str]] = None) -> int:
+def _serve(args) -> int:
     """``repro serve``: run the match-lookup HTTP server until signalled."""
     import asyncio
     import signal
 
-    args = build_serve_parser().parse_args(argv)
     spec = args.store.strip()
+    if spec == "memory":
+        raise ValueError(
+            "'memory' stores cannot be served — replica readers need a "
+            "SQLite file (use --store sqlite:PATH)"
+        )
     if spec.startswith("sqlite:"):
-        path = spec[len("sqlite:"):]
-    elif spec == "memory":
-        print(
-            "repro serve: 'memory' stores cannot be served — replica "
-            "readers need a SQLite file (use --store sqlite:PATH)",
-            file=sys.stderr,
-        )
-        return 2
-    else:
-        path = spec
-    if not path or not os.path.exists(path):
-        print(f"repro serve: store file {path!r} not found", file=sys.stderr)
-        return 2
+        spec = spec[len("sqlite:"):]
+    path = _existing_store(spec)
     if args.workers < 1:
-        print("repro serve: --workers must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--workers must be >= 1")
     if args.cache_size < 0:
-        print("repro serve: --cache-size must be >= 0", file=sys.stderr)
-        return 2
-    if args.retries < 1:
-        print("repro serve: --retries must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--cache-size must be >= 0")
 
+    from repro.resilience import AdmissionController, CircuitBreaker, TokenBucket
     from repro.serving import MatchLookupService, ServingServer, ServingTracer
-    from repro.store import StoreError
 
-    tracer = ServingTracer()
-    recorder = None
-    if args.ledger:
-        from repro.telemetry import RunRecorder
-
-        recorder = RunRecorder("serve", _telemetry_config(args, "serve"))
-    retry = None
-    if args.retries > 1:
-        from repro.resilience import RetryPolicy
-
-        retry = RetryPolicy(
-            max_attempts=args.retries,
-            base_delay=max(args.retry_delay, 0.0),
-            seed=0,
-        )
-
-    from repro.resilience import (
-        AdmissionController,
-        CircuitBreaker,
-        FaultInjector,
-        FaultPlan,
-        FaultPlanError,
-        TokenBucket,
-    )
-
-    injector = None
-    if args.inject_faults:
-        try:
-            plan = FaultPlan.parse(args.inject_faults)
-        except FaultPlanError as exc:
-            print(f"repro serve: {exc}", file=sys.stderr)
-            return 2
-        injector = FaultInjector(plan, tracer=tracer)
+    telemetry = _Telemetry(args, "serve", tracer=ServingTracer())
+    tracer = telemetry.tracer
+    retry, injector = _make_resilience(args, tracer, random_plans=False)
     read_breaker = write_breaker = None
     if args.breaker_threshold > 0:
-        read_breaker = CircuitBreaker(
-            "read",
-            failure_threshold=args.breaker_threshold,
-            cooldown=args.breaker_cooldown,
-            seed=args.breaker_seed,
-            tracer=tracer,
-        )
-        write_breaker = CircuitBreaker(
-            "write",
-            failure_threshold=args.breaker_threshold,
-            cooldown=args.breaker_cooldown,
-            seed=args.breaker_seed + 1,
-            tracer=tracer,
+        read_breaker, write_breaker = (
+            CircuitBreaker(
+                name,
+                failure_threshold=args.breaker_threshold,
+                cooldown=args.breaker_cooldown,
+                seed=args.breaker_seed + offset,
+                tracer=tracer,
+            )
+            for offset, name in enumerate(("read", "write"))
         )
     rates = {}
     for name, rate in (("read", args.read_rate), ("write", args.write_rate)):
         if rate > 0:
-            rates[name] = TokenBucket(
-                rate, args.burst if args.burst > 0 else None
-            )
+            rates[name] = TokenBucket(rate, args.burst if args.burst > 0 else None)
     admission = AdmissionController(
         max_queue=args.max_queue,
         rates=rates,
         retry_after=args.retry_after,
         tracer=tracer,
     )
-
-    try:
-        service = MatchLookupService(
-            path,
-            workers=args.workers,
-            cache_size=args.cache_size,
-            deadline=(args.deadline_ms / 1000.0) if args.deadline_ms > 0 else None,
-            tracer=tracer,
-            retry_policy=retry,
-            allow_stale=args.allow_stale,
-            read_breaker=read_breaker,
-            write_breaker=write_breaker,
-            fault_injector=injector,
-        )
-    except (StoreError, OSError) as exc:
-        print(f"repro serve: cannot open store: {exc}", file=sys.stderr)
-        return 2
+    service = MatchLookupService(
+        path,
+        workers=args.workers,
+        cache_size=args.cache_size,
+        deadline=(args.deadline_ms / 1000.0) if args.deadline_ms > 0 else None,
+        tracer=tracer,
+        retry_policy=retry,
+        allow_stale=args.allow_stale,
+        read_breaker=read_breaker,
+        write_breaker=write_breaker,
+        fault_injector=injector,
+    )
     server = ServingServer(
         service,
         host=args.host,
@@ -1983,95 +1610,59 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         # the checkpoint digests and flush the ledger.
         await server.stop(drain=True, drain_timeout=max(args.drain_timeout, 0.0))
 
-    status = 0
     try:
         asyncio.run(_run())
     except KeyboardInterrupt:
         pass
-    except OSError as exc:  # bind failure, port in use
-        print(f"repro serve: {exc}", file=sys.stderr)
-        status = 2
     finally:
         service.close()
-    if not args.quiet and status == 0:
-        snapshot = tracer.metrics.snapshot()
-        served = snapshot.get("counters", {}).get("serving.requests", 0)
+    if not args.quiet:
+        served = tracer.metrics.counter("serving.requests")
         print(f"repro serve: shut down after {served} request(s)")
-    if args.metrics:
-        from repro.observability import format_metrics
-
-        print()
-        print(format_metrics(tracer.metrics.snapshot()))
-    if args.trace:
-        from repro.observability import write_trace_jsonl
-
-        try:
-            records = write_trace_jsonl(tracer, args.trace)
-        except OSError as exc:
-            print(f"repro serve: cannot write trace: {exc}", file=sys.stderr)
-            status = max(status, 2)
-        else:
-            if not args.quiet:
-                print(f"trace ({records} records) written to {args.trace}")
-    if recorder is not None:
-        ledger_status = _append_run_report(
-            args, "serve", recorder, tracer, {"exit_status": status}
-        )
-        status = max(status, ledger_status)
-    return status
+    return telemetry.finish(0)
 
 
-def build_report_parser() -> argparse.ArgumentParser:
-    """The ``repro report`` argument parser (run-ledger queries)."""
-    parser = argparse.ArgumentParser(
-        prog="repro report",
-        description="Query the telemetry recorded by --ledger and the "
-        "bench history: list/show/diff stored run reports, export them "
-        "as Prometheus text exposition or JSONL, and gate on "
-        "performance regressions against the recorded bench baseline.",
-    )
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    """Query the telemetry recorded by --ledger and the bench history:
+    list/show/diff stored run reports, export them as Prometheus text
+    exposition or JSONL, and gate on performance regressions against the
+    recorded bench baseline."""
     actions = parser.add_subparsers(dest="action", metavar="ACTION")
     actions.required = True
 
-    def add_ledger(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--ledger",
-            default="runs.db",
-            metavar="PATH",
-            help="run ledger written by --ledger (default runs.db)",
-        )
+    def add_action(name: str, summary: str, *, ledger=True):
+        sub = actions.add_parser(name, help=summary)
+        if ledger:
+            sub.add_argument(
+                "--ledger",
+                default="runs.db",
+                metavar="PATH",
+                help="run ledger written by --ledger (default runs.db)",
+            )
+        return sub
 
-    list_parser = actions.add_parser(
-        "list", help="one line per recorded run (id, time, command, cost)"
+    list_parser = add_action(
+        "list", "one line per recorded run (id, time, command, cost)"
     )
-    add_ledger(list_parser)
-    list_parser.add_argument(
-        "--json", action="store_true", help="emit the run rows as JSON"
-    )
+    _add_output(list_parser, quiet=False)
 
-    show_parser = actions.add_parser(
-        "show", help="one run's full report (default: the newest run)"
+    show_parser = add_action(
+        "show", "one run's full report (default: the newest run)"
     )
-    add_ledger(show_parser)
     show_parser.add_argument(
         "run", nargs="?", type=int, help="run id (default: newest)"
     )
-    show_parser.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
+    _add_output(show_parser, quiet=False)
 
-    diff_parser = actions.add_parser(
-        "diff", help="phase-timing and metrics deltas between two runs"
+    diff_parser = add_action(
+        "diff", "phase-timing and metrics deltas between two runs"
     )
-    add_ledger(diff_parser)
     diff_parser.add_argument("run_a", type=int, help="baseline run id")
     diff_parser.add_argument("run_b", type=int, help="comparison run id")
 
-    prom_parser = actions.add_parser(
-        "prom",
-        help="a run's report in Prometheus text-exposition format",
+    prom_parser = add_action(
+        "prom", "a run's report in Prometheus text-exposition format"
     )
-    add_ledger(prom_parser)
     prom_parser.add_argument(
         "run", nargs="?", type=int, help="run id (default: newest)"
     )
@@ -2079,11 +1670,9 @@ def build_report_parser() -> argparse.ArgumentParser:
         "--out", metavar="FILE", help="write to FILE instead of stdout"
     )
 
-    jsonl_parser = actions.add_parser(
-        "jsonl",
-        help="metric snapshots as JSON lines (one record per metric)",
+    jsonl_parser = add_action(
+        "jsonl", "metric snapshots as JSON lines (one record per metric)"
     )
-    add_ledger(jsonl_parser)
     jsonl_parser.add_argument(
         "runs", nargs="*", type=int, help="run ids (default: every run)"
     )
@@ -2091,10 +1680,11 @@ def build_report_parser() -> argparse.ArgumentParser:
         "--out", metavar="FILE", help="write to FILE instead of stdout"
     )
 
-    check_parser = actions.add_parser(
+    check_parser = add_action(
         "bench-check",
-        help="exit 1 when a bench series regressed beyond --threshold "
+        "exit 1 when a bench series regressed beyond --threshold "
         "against its recorded baseline",
+        ledger=False,
     )
     check_parser.add_argument(
         "--history",
@@ -2117,21 +1707,25 @@ def build_report_parser() -> argparse.ArgumentParser:
         "(python major.minor, machine, cpu count) matches the newest "
         "record's",
     )
-    check_parser.add_argument(
-        "--json", action="store_true", help="emit the verdicts as JSON"
-    )
-    return parser
+    _add_output(check_parser, quiet=False)
 
 
-def report_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro report``: 0 ok, 1 regression (bench-check), 2 fatal."""
-    import json as json_module
-    import os
-    import time as time_module
+def _write_or_print(text: str, out: Optional[str], written: str) -> None:
+    """*text* to ``--out`` FILE (announcing *written*), else to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"{written} written to {out}")
+    else:
+        print(text, end="")
+
+
+def _report(args) -> int:
+    """``repro report``: 0 ok, 1 regression (bench-check)."""
+    import json
+    import time
 
     from repro.telemetry import (
-        HistoryError,
-        LedgerError,
         RunLedger,
         check_history,
         diff_reports,
@@ -2141,28 +1735,21 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         report_to_prometheus,
     )
 
-    args = build_report_parser().parse_args(argv)
-
     if args.action == "bench-check":
-        try:
-            if args.threshold <= 0:
-                raise ValueError("--threshold must be > 0")
-            records = load_history(args.history)
-            verdicts = check_history(
-                records, threshold=args.threshold, same_env=args.same_env
-            )
-        except (HistoryError, ValueError) as exc:
-            print(f"repro report: {exc}", file=sys.stderr)
-            return 2
+        if args.threshold <= 0:
+            raise ValueError("--threshold must be > 0")
+        verdicts = check_history(
+            load_history(args.history),
+            threshold=args.threshold,
+            same_env=args.same_env,
+        )
         if args.json:
             print(
-                json_module.dumps(
+                json.dumps(
                     {
                         "threshold": args.threshold,
                         "series": [v.to_dict() for v in verdicts],
-                        "regressed": [
-                            v.label() for v in verdicts if v.regressed
-                        ],
+                        "regressed": [v.label() for v in verdicts if v.regressed],
                     },
                     indent=2,
                 )
@@ -2172,101 +1759,59 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if any(v.regressed for v in verdicts) else 0
 
     if not os.path.exists(args.ledger):
-        print(f"repro report: no run ledger at {args.ledger}", file=sys.stderr)
-        return 2
-    try:
-        ledger = RunLedger(args.ledger)
-    except LedgerError as exc:
-        print(f"repro report: {exc}", file=sys.stderr)
-        return 2
-    try:
+        raise FileNotFoundError(f"no run ledger at {args.ledger}")
+    with RunLedger(args.ledger) as ledger:
         if args.action == "list":
             rows = ledger.list_runs()
             if args.json:
-                print(json_module.dumps(rows, indent=2))
+                print(json.dumps(rows, indent=2))
             elif not rows:
                 print(f"(no runs recorded in {args.ledger})")
             else:
                 print("id  when                  command   wall       pairs"
                       "    matches  sound")
                 for row in rows:
-                    when = time_module.strftime(
-                        "%Y-%m-%d %H:%M:%SZ", time_module.gmtime(row["timestamp"])
+                    when = time.strftime(
+                        "%Y-%m-%d %H:%M:%SZ", time.gmtime(row["timestamp"])
                     )
-                    sound = (
-                        "-" if row["sound"] is None else str(bool(row["sound"]))
-                    )
+                    sound = "-" if row["sound"] is None else str(bool(row["sound"]))
                     print(
                         f"{row['id']:<3d} {when}  {row['command']:<9s} "
                         f"{row['wall_s'] * 1e3:>7.1f}ms {row['pairs']:>7d}  "
                         f"{row['matches']:>7d}  {sound}"
                     )
-            return 0
-        if args.action in ("show", "prom"):
+        elif args.action in ("show", "prom"):
             run_id = args.run if args.run is not None else ledger.latest_id()
             if run_id is None:
-                print(
-                    f"repro report: no runs recorded in {args.ledger}",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ValueError(f"no runs recorded in {args.ledger}")
             stored = ledger.get(run_id)
-            if args.action == "show":
-                if args.json:
-                    payload = stored.to_dict()
-                    payload["run_id"] = stored.run_id
-                    print(json_module.dumps(payload, indent=2, sort_keys=True))
-                else:
-                    print(stored.summary())
-                return 0
-            text = report_to_prometheus(stored)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                print(f"prometheus exposition written to {args.out}")
+            if args.action == "prom":
+                _write_or_print(
+                    report_to_prometheus(stored), args.out, "prometheus exposition"
+                )
+            elif args.json:
+                payload = stored.to_dict()
+                payload["run_id"] = stored.run_id
+                print(json.dumps(payload, indent=2, sort_keys=True))
             else:
-                print(text, end="")
-            return 0
-        if args.action == "diff":
+                print(stored.summary())
+        elif args.action == "diff":
             print(diff_reports(ledger.get(args.run_a), ledger.get(args.run_b)))
-            return 0
-        if args.action == "jsonl":
-            run_ids = list(args.runs) or ledger.run_ids()
-            reports = [ledger.get(run_id) for run_id in run_ids]
+        else:  # jsonl
             lines = [
-                json_module.dumps(record, sort_keys=True)
-                for stored in reports
-                for record in metrics_to_jsonl_records(stored)
+                json.dumps(record, sort_keys=True) + "\n"
+                for run_id in (args.runs or ledger.run_ids())
+                for record in metrics_to_jsonl_records(ledger.get(run_id))
             ]
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + ("\n" if lines else ""))
-                print(f"{len(lines)} records written to {args.out}")
-            else:
-                for line in lines:
-                    print(line)
-            return 0
-    except LedgerError as exc:
-        print(f"repro report: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"repro report: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        ledger.close()
-    raise AssertionError(f"unhandled report action {args.action!r}")
+            _write_or_print("".join(lines), args.out, f"{len(lines)} records")
+    return 0
 
 
-def build_entities_parser() -> argparse.ArgumentParser:
-    """The ``repro entities`` argument parser (N-way resolution)."""
-    parser = argparse.ArgumentParser(
-        prog="repro entities",
-        description="N-way entity resolution: build a persisted identity "
-        "graph with canonical (golden) entities from named CSV sources, "
-        "inspect it, or export the golden records.  A built store serves "
-        "/resolve answers (repro serve) with full resolution-log "
-        "provenance.",
-    )
+def _entities_arguments(parser: argparse.ArgumentParser) -> None:
+    """N-way entity resolution: build a persisted identity graph with
+    canonical (golden) entities from named CSV sources, inspect it, or
+    export the golden records.  A built store serves /resolve answers
+    (repro serve) with full resolution-log provenance."""
     actions = parser.add_subparsers(dest="action", metavar="ACTION")
     actions.required = True
 
@@ -2276,49 +1821,9 @@ def build_entities_parser() -> argparse.ArgumentParser:
         "SQLite store (clusters, golden records, resolution log)",
     )
     build_p.add_argument("store_path", help="SQLite store file to build")
-    build_p.add_argument(
-        "--source",
-        action="append",
-        required=True,
-        metavar="NAME=CSV",
-        help="named source relation (repeatable; at least two)",
-    )
-    build_p.add_argument(
-        "--key",
-        action="append",
-        default=[],
-        metavar="NAME=ATTRS",
-        help="comma-separated primary key of one named source "
-        "(repeatable, one per source)",
-    )
-    build_p.add_argument(
-        "--extended-key",
-        required=True,
-        help="comma-separated extended key (unified attribute names)",
-    )
-    build_p.add_argument(
-        "--ilfd",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="inline ILFD, e.g. 'speciality=Mughalai -> cuisine=Indian' "
-        "(repeatable)",
-    )
-    build_p.add_argument(
-        "--ilfds-csv",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="ILFD table CSV: antecedent columns then one derived column "
-        "(repeatable)",
-    )
-    build_p.add_argument(
-        "--ilfds-file",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="ILFD knowledge-base text file, one rule per line (repeatable)",
-    )
+    _add_named_sources(build_p, required=True)
+    _add_extended_key(build_p)
+    _add_knowledge(build_p)
     build_p.add_argument(
         "--survivorship",
         default="source_priority",
@@ -2353,25 +1858,15 @@ def build_entities_parser() -> argparse.ArgumentParser:
         "bit-identical fingerprint on re-run; 0 = one transaction "
         "(default 0)",
     )
-    build_p.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        help="deterministic fault plan fired at the entities.persist "
+    _add_resilience(
+        build_p,
+        retries=False,
+        faults="deterministic fault plan fired at the entities.persist "
         "site (one invocation per batch), e.g. 'entities.persist:kill@2' "
         "for a real mid-build SIGKILL — the chaos harness's hook",
     )
-    build_p.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="record a JSON-lines trace (entities.* spans + metrics)",
-    )
-    build_p.add_argument(
-        "--metrics", action="store_true", help="print the metrics summary"
-    )
-    build_p.add_argument("--quiet", action="store_true", help="suppress printouts")
-    build_p.add_argument(
-        "--json", action="store_true", help="emit the build report as JSON"
-    )
+    _add_telemetry(build_p, ledger=False, profile=False)
+    _add_output(build_p)
 
     show_p = actions.add_parser(
         "show",
@@ -2384,9 +1879,7 @@ def build_entities_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="show one entity: golden record, members, resolution log",
     )
-    show_p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    _add_output(show_p, quiet=False)
 
     export_p = actions.add_parser(
         "export",
@@ -2397,53 +1890,33 @@ def build_entities_parser() -> argparse.ArgumentParser:
     export_p.add_argument(
         "--out", required=True, metavar="FILE", help="CSV file to write"
     )
-    export_p.add_argument("--quiet", action="store_true", help="suppress printouts")
-    return parser
+    _add_output(export_p, json=False)
+
+
+def _entities(args) -> int:
+    """``repro entities``: 0 sound/ok, 1 unsound build."""
+    run = {
+        "build": _entities_build,
+        "show": _entities_show,
+        "export": _entities_export,
+    }[args.action]
+    return run(args)
 
 
 def _entities_build(args) -> int:
-    from repro.entities import (
-        EntitiesError,
-        IdentityGraph,
-        build_entity_store,
-        make_survivorship,
-    )
-    from repro.store import StoreError
+    from repro.entities import IdentityGraph, build_entity_store, make_survivorship
     from repro.store.sqlite import SqliteStore
 
-    try:
-        sources = _parse_named_sources(args.source, args.key)
-        if len(sources) < 2:
-            raise ValueError("an entity build needs at least two --source")
-        ilfds = _collect_ilfds(args, quiet=args.quiet or args.json)
-        policy = make_survivorship(args.survivorship)
-    except (OSError, ValueError, EntitiesError) as exc:
-        print(f"repro entities: {exc}", file=sys.stderr)
-        return 2
-
-    tracer = None
-    if args.trace or args.metrics:
-        from repro.observability import Tracer
-
-        tracer = Tracer()
-    injector = None
-    if getattr(args, "inject_faults", None):
-        from repro.resilience import FaultInjector, FaultPlan, FaultPlanError
-
-        try:
-            injector = FaultInjector(FaultPlan.parse(args.inject_faults))
-        except FaultPlanError as exc:
-            print(f"repro entities: {exc}", file=sys.stderr)
-            return 2
-    store = None
-    try:
-        graph = IdentityGraph(
-            sources,
-            _split_key(args.extended_key),
-            ilfds=ilfds,
-            tracer=tracer,
-        )
-        store = SqliteStore(args.store_path, tracer=tracer)
+    sources = _parse_named_sources(args.source, args.key)
+    ilfds = _collect_ilfds(args, quiet=args.quiet or args.json)
+    policy = make_survivorship(args.survivorship)
+    telemetry = _Telemetry(args, "entities")
+    tracer = telemetry.tracer
+    _, injector = _make_resilience(args, random_plans=False)
+    graph = IdentityGraph(
+        sources, _split_key(args.extended_key), ilfds=ilfds, tracer=tracer
+    )
+    with SqliteStore(args.store_path, tracer=tracer) as store:
         report = build_entity_store(
             graph,
             store,
@@ -2454,17 +1927,11 @@ def _entities_build(args) -> int:
             batch_size=args.batch_size if args.batch_size > 0 else None,
             fault_injector=injector,
         )
-    except (CoreError, EntitiesError, StoreError, OSError) as exc:
-        print(f"repro entities: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if store is not None:
-            store.close()
     if args.json:
-        import json as json_module
+        import json
 
         print(
-            json_module.dumps(
+            json.dumps(
                 {
                     "store": args.store_path,
                     "sources": list(report.sources),
@@ -2499,56 +1966,30 @@ def _entities_build(args) -> int:
                 f"uniqueness VIOLATED: {report.violations} breach(es) "
                 "journaled (see 'repro entities show')"
             )
-    if tracer is not None:
-        if args.metrics and not args.json:
-            from repro.observability import format_metrics
-
-            print()
-            print(format_metrics(tracer.metrics.snapshot()))
-        if args.trace:
-            from repro.observability import write_trace_jsonl
-
-            try:
-                write_trace_jsonl(tracer, args.trace)
-            except OSError as exc:
-                print(f"repro entities: cannot write trace: {exc}", file=sys.stderr)
-                return 2
-    return 0 if report.is_sound else 1
+    return telemetry.finish(0 if report.is_sound else 1)
 
 
 def _entities_show(args) -> int:
-    import json as json_module
+    import json
 
-    from repro.entities import EntityBuildError, verify_entity_store
-    from repro.store import StoreError, explain_entity
+    from repro.entities import verify_entity_store
+    from repro.store import explain_entity
     from repro.store.sqlite import SqliteStore
 
-    try:
-        store = SqliteStore(args.store_path)
-    except (StoreError, OSError) as exc:
-        print(f"repro entities: {exc}", file=sys.stderr)
-        return 2
-    try:
-        try:
-            count, fingerprint = verify_entity_store(store)
-        except EntityBuildError as exc:
-            print(f"repro entities: {exc}", file=sys.stderr)
-            return 2
+    with SqliteStore(_existing_store(args.store_path)) as store:
+        count, fingerprint = verify_entity_store(store)
         if args.entity:
             record = store.get_entity(args.entity)
             if record is None:
-                print(
-                    f"repro entities: no entity {args.entity!r} in "
-                    f"{args.store_path}",
-                    file=sys.stderr,
+                raise ValueError(
+                    f"no entity {args.entity!r} in {args.store_path}"
                 )
-                return 2
             log = store.entity_log(record.entity_id)
             if args.json:
                 from repro.serving.service import encode_key_json, encode_row_json
 
                 print(
-                    json_module.dumps(
+                    json.dumps(
                         {
                             "id": record.entity_id,
                             "ext_key": record.ext_key,
@@ -2573,118 +2014,83 @@ def _entities_show(args) -> int:
                 print(explain_entity(log, record.entity_id))
             return 0
         records = list(store.entity_items())
-        if args.json:
-            print(
-                json_module.dumps(
-                    {
-                        "store": args.store_path,
-                        "entities": count,
-                        "fingerprint": fingerprint,
-                        "ids": [
-                            {
-                                "id": r.entity_id,
-                                "sources": list(r.sources),
-                                "members": len(r.members),
-                            }
-                            for r in records
-                        ],
-                    },
-                    indent=2,
-                )
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "store": args.store_path,
+                    "entities": count,
+                    "fingerprint": fingerprint,
+                    "ids": [
+                        {
+                            "id": r.entity_id,
+                            "sources": list(r.sources),
+                            "members": len(r.members),
+                        }
+                        for r in records
+                    ],
+                },
+                indent=2,
             )
-        else:
+        )
+    else:
+        print(
+            f"{count} canonical entit(ies) in {args.store_path} "
+            f"(fingerprint {fingerprint[:16]}…)"
+        )
+        for record in records:
             print(
-                f"{count} canonical entit(ies) in {args.store_path} "
-                f"(fingerprint {fingerprint[:16]}…)"
+                f"  {record.entity_id}  "
+                f"[{', '.join(record.sources)}]  "
+                f"{len(record.members)} member(s)"
             )
-            for record in records:
-                print(
-                    f"  {record.entity_id}  "
-                    f"[{', '.join(record.sources)}]  "
-                    f"{len(record.members)} member(s)"
-                )
-        return 0
-    finally:
-        store.close()
+    return 0
 
 
 def _entities_export(args) -> int:
-    import csv as csv_module
+    import csv
 
-    from repro.entities import EntityBuildError, load_entities, verify_entity_store
+    from repro.entities import load_entities, verify_entity_store
     from repro.relational.nulls import is_null
-    from repro.store import StoreError
     from repro.store.sqlite import SqliteStore
 
-    try:
-        store = SqliteStore(args.store_path)
-    except (StoreError, OSError) as exc:
-        print(f"repro entities: {exc}", file=sys.stderr)
-        return 2
-    try:
-        try:
-            verify_entity_store(store)
-        except EntityBuildError as exc:
-            print(f"repro entities: {exc}", file=sys.stderr)
-            return 2
+    with SqliteStore(_existing_store(args.store_path)) as store:
+        verify_entity_store(store)
         records = load_entities(store)
-    finally:
-        store.close()
     attributes: List[str] = []
     for record in records:
         for name in record.golden:
             if name not in attributes:
                 attributes.append(name)
-    try:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv_module.writer(handle)
-            writer.writerow(["entity_id"] + attributes + ["sources"])
-            for record in records:
-                golden = record.golden
-                writer.writerow(
-                    [record.entity_id]
-                    + [
-                        ""
-                        if name not in golden or is_null(golden[name])
-                        else golden[name]
-                        for name in attributes
-                    ]
-                    + [",".join(record.sources)]
-                )
-    except OSError as exc:
-        print(f"repro entities: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    if not getattr(args, "quiet", False):
+    with open(args.out, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["entity_id"] + attributes + ["sources"])
+        for record in records:
+            golden = record.golden
+            writer.writerow(
+                [record.entity_id]
+                + [
+                    ""
+                    if name not in golden or is_null(golden[name])
+                    else golden[name]
+                    for name in attributes
+                ]
+                + [",".join(record.sources)]
+            )
+    if not args.quiet:
         print(f"{len(records)} golden record(s) written to {args.out}")
     return 0
 
 
-def entities_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro entities``: 0 sound/ok, 1 unsound build, 2 fatal."""
-    args = build_entities_parser().parse_args(argv)
-    if args.action == "build":
-        return _entities_build(args)
-    if args.action == "show":
-        return _entities_show(args)
-    return _entities_export(args)
-
-
-def build_chaos_parser() -> argparse.ArgumentParser:
-    """CLI for ``repro chaos``."""
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description=(
-            "Run the serving chaos harness: boot real 'repro serve' "
-            "subprocesses over a seeded workload, drive concurrent "
-            "resolve/ingest traffic under deterministic fault schedules "
-            "(including a real SIGKILL + restart), and verify every "
-            "run's store resumes with journal verification and agrees "
-            "bit-identically with a fault-free reference.  With "
-            "--entities, also SIGKILL a batched entity build mid-way "
-            "and verify the resumed build seals the reference "
-            "fingerprint."
-        ),
-    )
+def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
+    """Run the serving chaos harness: boot real 'repro serve'
+    subprocesses over a seeded workload, drive concurrent resolve/ingest
+    traffic under deterministic fault schedules (including a real
+    SIGKILL + restart), and verify every run's store resumes with
+    journal verification and agrees bit-identically with a fault-free
+    reference.  With --entities, also SIGKILL a batched entity build
+    mid-way and verify the resumed build seals the reference
+    fingerprint."""
     parser.add_argument(
         "--workdir",
         default="",
@@ -2718,41 +2124,27 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the entity-build kill/resume chaos check",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full report list as JSON on stdout",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the per-schedule lines"
-    )
-    return parser
+    _add_output(parser)
 
 
-def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro chaos``: 0 all schedules converged, 1 divergence, 2 fatal."""
-    import json as json_module
+def _chaos(args) -> int:
+    """``repro chaos``: 0 all schedules converged, 1 divergence."""
+    import json
     import tempfile
 
     from repro.resilience.chaos import (
-        ChaosError,
         ChaosSchedule,
         run_chaos,
         run_entity_build_chaos,
     )
 
-    args = build_chaos_parser().parse_args(argv)
     schedules = None
     if args.schedule:
         schedules = []
         for spec in args.schedule:
             name, _, faults = spec.partition("=")
             if not name or not faults:
-                print(
-                    f"repro chaos: --schedule {spec!r} must be NAME=FAULTS",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ValueError(f"--schedule {spec!r} must be NAME=FAULTS")
             schedules.append(ChaosSchedule(name, faults))
 
     cleanup = None
@@ -2769,25 +2161,21 @@ def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
             n_entities=args.entities_count,
             seed=args.seed,
         )
-        entity_report = None
-        if args.entities:
-            entity_report = run_entity_build_chaos(workdir)
-    except ChaosError as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
+        entity_report = run_entity_build_chaos(workdir) if args.entities else None
     finally:
         if cleanup is not None:
             cleanup.cleanup()
 
-    failed = [r for r in reports if not r.ok]
+    ok = all(r.ok for r in reports) and (
+        entity_report is None or entity_report["ok"]
+    )
     if args.json:
         payload = {
             "schedules": [r.as_dict() for r in reports],
             "entities": entity_report,
-            "ok": not failed
-            and (entity_report is None or entity_report["ok"]),
+            "ok": ok,
         }
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif not args.quiet:
         for r in reports:
             verdict = "ok" if r.ok else "FAILED"
@@ -2804,24 +2192,18 @@ def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"repro chaos: {'entity-build-kill':24s} {verdict}  "
                 f"bit_identical={entity_report['bit_identical']}"
             )
-    if failed or (entity_report is not None and not entity_report["ok"]):
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
-def build_scenarios_parser() -> argparse.ArgumentParser:
-    """The ``repro scenarios`` argument parser."""
+def _scenarios_arguments(parser: argparse.ArgumentParser) -> None:
+    """Run the adversarial scenario matrix: every grid cell (source count
+    × skew × noise × conflict × schema drift × delta order × duplicates
+    × blocker) through the real pipeline with conformance oracles on,
+    precision/recall scored against carried ground truth, and the ILFD
+    drift detector re-checking baseline-mined constraints against the
+    delta feeds."""
     from repro.scenarios import GRIDS
 
-    parser = argparse.ArgumentParser(
-        prog="repro scenarios",
-        description="Run the adversarial scenario matrix: every grid "
-        "cell (source count × skew × noise × conflict × schema drift × "
-        "delta order × duplicates × blocker) through the real pipeline "
-        "with conformance oracles on, precision/recall scored against "
-        "carried ground truth, and the ILFD drift detector re-checking "
-        "baseline-mined constraints against the delta feeds.",
-    )
     parser.add_argument(
         "--grid",
         choices=tuple(GRIDS),
@@ -2879,38 +2261,15 @@ def build_scenarios_parser() -> argparse.ArgumentParser:
         "cells WITHOUT marking it expected — the run must go red "
         "(exit 1) with unexpected constraint-drift findings",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full canonical scenario report as JSON on stdout",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the human-readable summaries (exit status still "
-        "reports the verdict)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="record a JSON-lines trace (spans + scenarios.* metrics)",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the scenarios metrics summary after the run",
-    )
-    _add_telemetry_arguments(parser)
-    return parser
+    _add_output(parser)
+    _add_telemetry(parser)
 
 
-def scenarios_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro scenarios``: 0 green, 1 cell/drift/baseline failure, 2 fatal."""
-    import json as json_module
+def _scenarios(args) -> int:
+    """``repro scenarios``: 0 green, 1 cell/drift/baseline failure."""
+    import json
 
     from repro.scenarios import (
-        ScenarioBaselineError,
-        ScenarioError,
         ScenarioReport,
         ScenarioRunner,
         check_baseline,
@@ -2918,76 +2277,45 @@ def scenarios_main(argv: Optional[Sequence[str]] = None) -> int:
         update_baseline,
     )
 
-    args = build_scenarios_parser().parse_args(argv)
     if args.update_baseline and not args.baseline:
-        print("repro scenarios: --update-baseline requires --baseline DIR",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--update-baseline requires --baseline DIR")
     if args.entities is not None and args.entities < 4:
-        print("repro scenarios: --entities must be >= 4", file=sys.stderr)
-        return 2
+        raise ValueError("--entities must be >= 4")
     if args.inject_drift and (args.baseline and not args.update_baseline):
         # Injected drift deliberately changes the report; comparing it
         # against the healthy baseline would double-report the canary.
-        print("repro scenarios: --inject-drift cannot be combined with a "
-              "--baseline check", file=sys.stderr)
-        return 2
-    if args.inject_drift and args.update_baseline:
-        print("repro scenarios: refusing to freeze a baseline with "
-              "injected drift", file=sys.stderr)
-        return 2
-
-    try:
-        specs = grid_by_name(
-            args.grid, entities=args.entities, seed=args.seed
+        raise ValueError(
+            "--inject-drift cannot be combined with a --baseline check"
         )
-    except ScenarioError as exc:
-        print(f"repro scenarios: {exc}", file=sys.stderr)
-        return 2
+    if args.inject_drift and args.update_baseline:
+        raise ValueError("refusing to freeze a baseline with injected drift")
+
+    specs = grid_by_name(args.grid, entities=args.entities, seed=args.seed)
     if args.cell:
         known = {spec.cell_id for spec in specs}
         unknown = [c for c in args.cell if c not in known]
         if unknown:
-            print(
-                f"repro scenarios: unknown cell id(s) {unknown} in grid "
-                f"{args.grid!r}; use --list to see the ids",
-                file=sys.stderr,
+            raise ValueError(
+                f"unknown cell id(s) {unknown} in grid {args.grid!r}; "
+                "use --list to see the ids"
             )
-            return 2
         specs = [spec for spec in specs if spec.cell_id in args.cell]
     if args.list:
         for spec in specs:
             print(spec.cell_id)
         return 0
 
-    profile_mode = _profile_mode(args)
-    tracer = None
-    recorder = None
-    if args.trace or args.metrics or args.ledger or profile_mode != "off":
-        from repro.observability import Tracer
-
-        tracer = Tracer(profile=profile_mode)
-    if args.ledger:
-        from repro.telemetry import RunRecorder
-
-        recorder = RunRecorder(
-            "scenarios", _telemetry_config(args, "scenarios")
-        )
-
-    try:
-        runner = ScenarioRunner(
-            specs, inject_drift=args.inject_drift, tracer=tracer
-        )
-        results = runner.run()
-    except ScenarioError as exc:
-        print(f"repro scenarios: {exc}", file=sys.stderr)
-        return 2
-
+    telemetry = _Telemetry(args, "scenarios")
+    tracer = telemetry.tracer
+    results = ScenarioRunner(
+        specs, inject_drift=args.inject_drift, tracer=tracer
+    ).run()
     report = ScenarioReport.from_results(args.grid, results)
     degraded = not report.ok
     output = report.to_dict()
     output["summary"] = report.summary()
-    if not args.quiet and not args.json:
+    chatty = not args.quiet and not args.json
+    if chatty:
         for cell in report.cells:
             verdict = "ok" if cell["ok"] else "FAILED"
             drift = cell["drift"]
@@ -3000,34 +2328,21 @@ def scenarios_main(argv: Optional[Sequence[str]] = None) -> int:
             )
 
     if args.baseline:
-        try:
-            if args.update_baseline:
-                path = update_baseline(args.baseline, report)
-                output["baseline"] = {"updated": path}
-                if not args.quiet and not args.json:
-                    print(f"scenario baseline re-frozen: {path}")
-            else:
-                drift = check_baseline(args.baseline, report)
-                output["baseline"] = {"drift": drift}
-                degraded = degraded or bool(drift)
-                if tracer is not None:
-                    tracer.metrics.inc(
-                        "scenarios.baseline_drift", len(drift)
-                    )
-                if not args.quiet and not args.json:
-                    if drift:
-                        print("scenario baseline DRIFTED:")
-                        for cell_id, detail in sorted(drift.items()):
-                            print(f"  {cell_id}: {detail}")
-                    else:
-                        print("scenario baseline: no drift")
-        except ScenarioBaselineError as exc:
-            print(f"repro scenarios: {exc}", file=sys.stderr)
-            return 2
+        if args.update_baseline:
+            path = update_baseline(args.baseline, report)
+            output["baseline"] = {"updated": path}
+            if chatty:
+                print(f"scenario baseline re-frozen: {path}")
+        else:
+            drift = check_baseline(args.baseline, report)
+            output["baseline"] = {"drift": drift}
+            degraded = _drift_found(
+                drift, "scenario baseline", "scenarios.baseline_drift", tracer, chatty
+            ) or degraded
 
     output["ok"] = not degraded
     if args.json:
-        print(json_module.dumps(output, indent=2, sort_keys=False))
+        print(json.dumps(output, indent=2, sort_keys=False))
     elif not args.quiet:
         summary = report.summary()
         print(
@@ -3037,77 +2352,104 @@ def scenarios_main(argv: Optional[Sequence[str]] = None) -> int:
             f"{summary['drift_findings']} drift finding(s), "
             f"{summary['unexpected_drift']} unexpected)"
         )
-    if tracer is not None:
-        if profile_mode != "off" and not args.quiet and not args.json:
-            from repro.observability import format_profile
+    return telemetry.finish(1 if degraded else 0, ok=not degraded)
 
-            print()
-            print(format_profile(tracer))
-        if args.metrics:
-            from repro.observability import format_metrics
 
-            print()
-            print(format_metrics(tracer.metrics.snapshot()))
-        if args.trace:
-            from repro.observability import write_trace_jsonl
+# ----------------------------------------------------------------------
+# The harness: one command table, one error table
+# ----------------------------------------------------------------------
+_COMMANDS = {
+    "identify": (_identify_arguments, _identify),
+    "stats": (_stats_arguments, _stats),
+    "checkpoint": (_checkpoint_arguments, _checkpoint),
+    "resume": (_resume_arguments, _resume),
+    "explain-pair": (_explain_pair_arguments, _explain_pair),
+    "conform": (_conform_arguments, _conform),
+    "report": (_report_arguments, _report),
+    "serve": (_serve_arguments, _serve),
+    "entities": (_entities_arguments, _entities),
+    "chaos": (_chaos_arguments, _chaos),
+    "scenarios": (_scenarios_arguments, _scenarios),
+}
 
-            try:
-                write_trace_jsonl(tracer, args.trace)
-            except OSError as exc:
-                print(f"repro scenarios: cannot write trace: {exc}",
-                      file=sys.stderr)
-                return 2
-    status = 1 if degraded else 0
-    if recorder is not None:
-        ledger_status = _append_run_report(
-            args,
-            "scenarios",
-            recorder,
-            tracer,
-            {"exit_status": status, "ok": not degraded},
-        )
-        status = max(status, ledger_status)
-    return status
+
+def _fatal_errors() -> tuple:
+    """The exceptions ``main`` reports as one line and exit status 2.
+
+    Called from the ``except`` clause, so the subsystem error modules
+    are imported only once something has actually failed.
+    """
+    from repro.blocking.errors import BlockingError
+    from repro.conformance.errors import ConformanceError
+    from repro.entities.errors import EntitiesError
+    from repro.resilience.errors import ResilienceError
+    from repro.scenarios.errors import ScenarioError
+    from repro.store.errors import StoreError
+    from repro.telemetry.errors import TelemetryError
+
+    return (
+        CoreError, RelationalError, ILFDError, StoreError, ResilienceError,
+        EntitiesError, ConformanceError, ScenarioError, TelemetryError,
+        BlockingError, OSError, ValueError,
+    )
+
+
+def _build_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command only — others' modules stay unimported."""
+    add_arguments, _ = _COMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog=f"repro {name}", description=add_arguments.__doc__
+    )
+    add_arguments(parser)
+    return parser
+
+
+def _run(name: str, argv: Optional[Sequence[str]]) -> int:
+    """Parse *argv* for command *name*, run it, map fatal errors to 2."""
+    args = _build_parser(name).parse_args(argv)
+    try:
+        return _COMMANDS[name][1](args)
+    except BrokenPipeError:  # `repro identify ... | head` is not an error
+        raise
+    except _fatal_errors() as exc:
+        print(f"repro {name}: {exc}", file=sys.stderr)
+        return 2
+
+
+def build_conform_parser() -> argparse.ArgumentParser:
+    """The ``repro conform`` argument parser."""
+    return _build_parser("conform")
+
+
+def conform_main(argv: Optional[Sequence[str]] = None) -> int:
+    """``repro conform``: 0 green, 1 mismatch/violation/drift, 2 fatal."""
+    return _run("conform", argv)
+
+
+def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
+    """``repro chaos``: 0 all schedules converged, 1 divergence, 2 fatal."""
+    return _run("chaos", argv)
+
+
+def scenarios_main(argv: Optional[Sequence[str]] = None) -> int:
+    """``repro scenarios``: 0 green, 1 cell/drift/baseline failure, 2 fatal."""
+    return _run("scenarios", argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point: dispatches the subcommands (see ``_SUBCOMMANDS``).
+    """Entry point: runs the subcommand named by the first argument.
 
     A first argument that is not a subcommand falls through to
     ``identify`` — the historical ``repro-identify R.csv S.csv ...``
     invocation keeps working unchanged.
     """
     arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] in _SUBCOMMANDS:
-        command, rest = arguments[0], arguments[1:]
-        if command == "version":
-            print(f"repro {package_version()}")
-            return 0
-        if command == "stats":
-            return stats_main(rest)
-        if command == "checkpoint":
-            return checkpoint_main(rest)
-        if command == "resume":
-            return resume_main(rest)
-        if command == "explain-pair":
-            return explain_pair_main(rest)
-        if command == "conform":
-            return conform_main(rest)
-        if command == "report":
-            return report_main(rest)
-        if command == "serve":
-            return serve_main(rest)
-        if command == "entities":
-            return entities_main(rest)
-        if command == "chaos":
-            return chaos_main(rest)
-        if command == "scenarios":
-            return scenarios_main(rest)
-        return identify_main(rest)
-    if arguments == ["--version"]:
+    if arguments[:1] == ["version"] or arguments == ["--version"]:
         print(f"repro {package_version()}")
         return 0
-    return identify_main(arguments)
+    if arguments and arguments[0] in _COMMANDS:
+        return _run(arguments[0], arguments[1:])
+    return _run("identify", arguments)
 
 
 if __name__ == "__main__":

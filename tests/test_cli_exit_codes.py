@@ -12,7 +12,8 @@ All ``repro`` subcommands speak the same three-way protocol:
 
 These are contract tests: scripts and the CI pipeline branch on these
 codes, so the mapping is pinned here across ``identify``, ``resume``
-(including ``--salvage``), ``checkpoint``, and ``conform``.
+(including ``--salvage``), ``checkpoint``, and ``conform``, and every
+input error is pinned to one ``repro <command>:`` line and exit 2.
 """
 
 import json
@@ -154,9 +155,17 @@ class TestResumeExitCodes:
         ) == 1
 
     def test_missing_checkpoint_exits_two(self, tmp_path):
-        assert main(
-            ["resume", str(tmp_path / "nowhere.sqlite"), "--quiet"]
-        ) == 2
+        missing = tmp_path / "nowhere.sqlite"
+        assert main(["resume", str(missing), "--quiet"]) == 2
+        assert not missing.exists()  # refused, not created empty
+
+    @pytest.mark.parametrize("action", [["show"], ["export", "--out", "x.csv"]],
+                             ids=["show", "export"])
+    def test_missing_entity_store_exits_two(self, tmp_path, capsys, action):
+        missing = tmp_path / "nowhere.sqlite"
+        assert main(["entities", action[0], str(missing), *action[1:]]) == 2
+        assert capsys.readouterr().err.startswith("repro entities: no such store")
+        assert not missing.exists()
 
     def test_duplicate_insert_exits_two(self, csvs, checkpoint, capsys):
         # R.csv repeats keys the checkpoint already holds: a CoreError,
@@ -232,3 +241,69 @@ class TestConformExitCodes:
         assert status == 0
         assert payload["ok"] is True
         assert payload["workloads"]["restaurants"]["oracles"]["ok"] is True
+
+
+# Each case builds the argv of one missing, unwritable or malformed
+# input from (R.csv, S.csv, scratch dir, checkpoint).  Every one must
+# exit 2 with exactly one "repro <command>:" stderr line, no traceback.
+_N_WAY_KEYS = ["--key", "R=name,cuisine", "--key", "S=name,speciality"]
+INPUT_ERRORS = {
+    "identify-missing-csv": lambda r, s, d, ck: [
+        "identify", str(d / "missing.csv"), s, *IDENTIFY_ARGS,
+        "--extended-key", "name,cuisine"],
+    "identify-missing-ilfds-csv": lambda r, s, d, ck: [
+        "identify", r, s, *IDENTIFY_ARGS, "--extended-key", "name,cuisine",
+        "--ilfds-csv", str(d / "missing.csv")],
+    "identify-missing-mine": lambda r, s, d, ck: [
+        "identify", r, s, *IDENTIFY_ARGS, "--extended-key", "name,cuisine",
+        "--mine", str(d / "missing.csv")],
+    "identify-bad-ilfd": lambda r, s, d, ck: [
+        "identify", r, s, *IDENTIFY_ARGS, "--extended-key", "name,cuisine",
+        "--ilfd", "garbage"],
+    "checkpoint-bad-ilfd": lambda r, s, d, ck: [
+        "checkpoint", r, s, str(d / "new.sqlite"), *IDENTIFY_ARGS,
+        "--extended-key", "name,cuisine", "--ilfd", "garbage"],
+    "resume-bad-ilfd": lambda r, s, d, ck: [
+        "resume", ck, "--ilfd", "garbage"],
+    "identify-unknown-key": lambda r, s, d, ck: [
+        "identify", r, s, "--r-key", "name,nosuch", "--s-key",
+        "name,speciality", "--extended-key", "name,cuisine"],
+    "identify-source-unknown-key": lambda r, s, d, ck: [
+        "identify", "--source", f"R={r}", "--source", f"S={s}",
+        "--key", "R=name,nosuch", "--key", "S=name,speciality",
+        "--extended-key", "name,cuisine"],
+    "identify-unwritable-out": lambda r, s, d, ck: [
+        "identify", r, s, *IDENTIFY_ARGS, "--extended-key", "name,cuisine",
+        "--out", str(d / "nonexistent" / "x.csv")],
+    "identify-source-unwritable-out": lambda r, s, d, ck: [
+        "identify", "--source", f"R={r}", "--source", f"S={s}",
+        *_N_WAY_KEYS, "--extended-key", "name,cuisine",
+        "--out", str(d / "nonexistent" / "x.csv")],
+    "checkpoint-missing-csv": lambda r, s, d, ck: [
+        "checkpoint", r, str(d / "missing.csv"), str(d / "new.sqlite"),
+        *IDENTIFY_ARGS, "--extended-key", "name,cuisine"],
+    "resume-missing-insert": lambda r, s, d, ck: [
+        "resume", ck, "--insert-r", str(d / "missing.csv")],
+    "chaos-negative-entities": lambda r, s, d, ck: [
+        "chaos", "--entities-count", "-1"],
+    "identify-empty-extended-key": lambda r, s, d, ck: [
+        "identify", r, s, *IDENTIFY_ARGS, "--extended-key", ""],
+    "identify-source-empty-extended-key": lambda r, s, d, ck: [
+        "identify", "--source", f"R={r}", "--source", f"S={s}",
+        *_N_WAY_KEYS, "--extended-key", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_is_one_line_exit_two(
+    case, csvs, checkpoint, tmp_path, capsys
+):
+    r_path, s_path = csvs
+    argv = INPUT_ERRORS[case](str(r_path), str(s_path), tmp_path, str(checkpoint))
+    capsys.readouterr()
+    status = main(argv)
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -25,35 +25,41 @@ def rel(names, rows, key, name="T"):
 
 class TestCliErrors:
     def test_missing_file(self, tmp_path, capsys):
-        with pytest.raises(Exception):
-            main(
-                [
-                    str(tmp_path / "missing.csv"),
-                    str(tmp_path / "missing2.csv"),
-                    "--r-key", "a",
-                    "--s-key", "a",
-                    "--extended-key", "a",
-                ]
-            )
+        status = main(
+            [
+                str(tmp_path / "missing.csv"),
+                str(tmp_path / "missing2.csv"),
+                "--r-key", "a",
+                "--s-key", "a",
+                "--extended-key", "a",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("repro identify: ")
+        assert "missing.csv" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_inline_ilfd(self):
         with pytest.raises(ValueError):
             parse_ilfd("no arrow here")
 
-    def test_empty_extended_key(self, tmp_path):
+    def test_empty_extended_key(self, tmp_path, capsys):
         r = tmp_path / "r.csv"
         r.write_text("a\nx\n")
         s = tmp_path / "s.csv"
         s.write_text("a\nx\n")
-        with pytest.raises(Exception):
-            main(
-                [
-                    str(r), str(s),
-                    "--r-key", "a",
-                    "--s-key", "a",
-                    "--extended-key", "",
-                ]
-            )
+        status = main(
+            [
+                str(r), str(s),
+                "--r-key", "a",
+                "--s-key", "a",
+                "--extended-key", "",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err == "repro identify: extended key cannot be empty\n"
 
 
 class TestClosureDiagnostics:
