@@ -9,13 +9,19 @@ the same order* — and the paper's consistency constraint (no pair both
 matching and distinct, Section 3.2) is enforced at merge time, before
 any table is materialised.
 
-Per-pair evaluation is a pure function of ``(rows, rules)``: it uses
-``IdentityRule.applies`` / ``DistinctnessRule.applies`` directly rather
-than a :class:`~repro.rules.engine.RuleEngine`, so worker processes need
-pickle nothing stateful.  Rows, rules, and the NULL sentinel all pickle
-faithfully (``NULL`` reduces to its singleton); process workers receive
-the rows and rules once via the pool initializer and are then fed plain
-index batches, keeping per-batch IPC to a few bytes per pair.
+Per-pair evaluation is a pure function of ``(rows, rules)``: identity
+rules go through ``IdentityRule.applies``, distinctness rules through
+their :class:`~repro.rules.compiled.CompiledRules` form (compiled once
+per ``evaluate`` call), not a :class:`~repro.rules.engine.RuleEngine`,
+so worker processes need pickle nothing stateful.  Distinctness is
+decided set-wise (Proposition 1): each row's single-entity rule parts
+are evaluated once per batch, and a pair is then classified from its
+two rows' signatures, evaluating per pair only the cross-entity
+predicates of the rules whose single-entity parts already hold.  Rows,
+rules, and the NULL sentinel all pickle faithfully (``NULL`` reduces to
+its singleton); process workers receive the rows and rules once via the
+pool initializer and are then fed plain index batches, keeping
+per-batch IPC to a few bytes per pair.
 
 The uniqueness constraint is *reported*, not raised — mirroring the
 pipeline, where ``verify`` surfaces unsound keys as a report the DBA
@@ -51,6 +57,7 @@ from repro.resilience.faults import (
     FaultInjector,
 )
 from repro.resilience.retry import RetryPolicy
+from repro.rules.compiled import CompiledRules
 from repro.rules.distinctness import DistinctnessRule
 from repro.rules.identity import IdentityRule
 
@@ -66,10 +73,11 @@ __all__ = ["PairEvaluation", "ParallelPairExecutor"]
 
 _BACKENDS = ("serial", "thread", "process")
 
-# (matches, distinct, match rule indices, distinct rule indices) — the two
-# index lists are parallel to the two pair lists and name, by position in
-# the rule sequences, the rule that fired for each classified pair.
-BatchResult = Tuple[List[IndexPair], List[IndexPair], List[int], List[int]]
+# (matches, distinct, match rule indices, distinct rule indices, rule
+# parts evaluated) — the two index lists are parallel to the two pair
+# lists and name, by position in the rule sequences, the rule that fired
+# for each classified pair.
+BatchResult = Tuple[List[IndexPair], List[IndexPair], List[int], List[int], int]
 
 # Per-process worker state, installed by the pool initializer so batches
 # ship only index pairs (see module docstring).
@@ -81,19 +89,27 @@ def _evaluate_batch(
     r_rows: Sequence[Row],
     s_rows: Sequence[Row],
     identity_rules: Sequence[IdentityRule],
-    distinctness_rules: Sequence[DistinctnessRule],
+    distinctness: CompiledRules,
 ) -> BatchResult:
     """Classify one batch; the shared kernel of every backend.
 
     A pair is *matching* when some identity rule's antecedent is TRUE,
     *distinct* when some distinctness rule is TRUE in either orientation
-    (distinctness is symmetric, its rule text is not) — exactly the rule
-    engine's semantics, without its per-call metric accounting.
+    (distinctness is symmetric, its rule text is not), credited to the
+    first such rule in rule order — exactly the rule engine's semantics,
+    without its per-call metric accounting.  Each row's single-entity
+    rule parts are evaluated once per batch (its signature); a pair's
+    verdict is then mask arithmetic on its two signatures plus, for
+    rules with cross-entity predicates only, those predicates.
     """
     matches: List[IndexPair] = []
     distinct: List[IndexPair] = []
     match_rules: List[int] = []
     distinct_rules: List[int] = []
+    r_signatures: Dict[int, Tuple[int, int, int]] = {}
+    s_signatures: Dict[int, Tuple[int, int, int]] = {}
+    crossed = distinctness.cross_mask
+    evaluated = 0
     for i, j in batch:
         r_row = r_rows[i]
         s_row = s_rows[j]
@@ -102,29 +118,45 @@ def _evaluate_batch(
                 matches.append((i, j))
                 match_rules.append(index)
                 break
-        for index, rule in enumerate(distinctness_rules):
-            if (
-                rule.applies(r_row, s_row) is Maybe.TRUE
-                or rule.applies(s_row, r_row) is Maybe.TRUE
-            ):
-                distinct.append((i, j))
-                distinct_rules.append(index)
-                break
-    return matches, distinct, match_rules, distinct_rules
+        if not distinctness:
+            continue
+        r_sig = r_signatures.get(i)
+        if r_sig is None:
+            r_sig = r_signatures[i] = distinctness.signature(r_row)
+            evaluated += r_sig[2]
+        s_sig = s_signatures.get(j)
+        if s_sig is None:
+            s_sig = s_signatures[j] = distinctness.signature(s_row)
+            evaluated += s_sig[2]
+        forward = r_sig[0] & s_sig[1]
+        backward = s_sig[0] & r_sig[1]
+        candidates = forward | backward
+        if not candidates:
+            continue
+        if candidates & crossed:
+            index, count = distinctness.first_firing(forward, backward, r_row, s_row)
+            evaluated += count
+            if index < 0:
+                continue
+        else:
+            index = (candidates & -candidates).bit_length() - 1
+        distinct.append((i, j))
+        distinct_rules.append(index)
+    return matches, distinct, match_rules, distinct_rules, evaluated
 
 
 def _init_worker(
     r_rows: Sequence[Row],
     s_rows: Sequence[Row],
     identity_rules: Sequence[IdentityRule],
-    distinctness_rules: Sequence[DistinctnessRule],
+    distinctness: CompiledRules,
 ) -> None:
-    _WORKER_STATE["args"] = (r_rows, s_rows, identity_rules, distinctness_rules)
+    _WORKER_STATE["args"] = (r_rows, s_rows, identity_rules, distinctness)
 
 
 def _process_batch(batch: Sequence[IndexPair]) -> BatchResult:
-    r_rows, s_rows, identity_rules, distinctness_rules = _WORKER_STATE["args"]
-    return _evaluate_batch(batch, r_rows, s_rows, identity_rules, distinctness_rules)
+    r_rows, s_rows, identity_rules, distinctness = _WORKER_STATE["args"]
+    return _evaluate_batch(batch, r_rows, s_rows, identity_rules, distinctness)
 
 
 @dataclass
@@ -262,7 +294,7 @@ class ParallelPairExecutor:
         failure leaves the store untouched.
         """
         identity = tuple(identity_rules)
-        distinctness = tuple(distinctness_rules)
+        distinctness = CompiledRules(distinctness_rules)
         # A CandidatePairs stream is re-iterable and knows its count, so the
         # serial path never materialises it: a cross product stays lazy.
         pairs = (
@@ -282,7 +314,7 @@ class ParallelPairExecutor:
         ) as span:
             if self.backend == "serial" or self.workers == 1 or len(pairs) <= 1:
                 try:
-                    matches, distinct, match_rules, distinct_rules = (
+                    matches, distinct, match_rules, distinct_rules, evaluated = (
                         _evaluate_batch(
                             pairs, r_rows, s_rows, identity, distinctness
                         )
@@ -290,7 +322,7 @@ class ParallelPairExecutor:
                 except Exception:
                     # A poisoned pair: isolate it pair-by-pair instead of
                     # sinking the whole run.
-                    matches, distinct, match_rules, distinct_rules = (
+                    matches, distinct, match_rules, distinct_rules, evaluated = (
                         self._quarantining_pass(
                             pairs,
                             r_rows,
@@ -311,11 +343,13 @@ class ParallelPairExecutor:
                 distinct = []
                 match_rules = []
                 distinct_rules = []
-                for batch_matches, batch_distinct, batch_mr, batch_dr in results:
-                    matches.extend(batch_matches)
-                    distinct.extend(batch_distinct)
+                evaluated = 0
+                for batch_m, batch_d, batch_mr, batch_dr, batch_n in results:
+                    matches.extend(batch_m)
+                    distinct.extend(batch_d)
                     match_rules.extend(batch_mr)
                     distinct_rules.extend(batch_dr)
+                    evaluated += batch_n
             span.set("matches", len(matches))
             span.set("distinct", len(distinct))
             span.set("batches", batches)
@@ -330,9 +364,7 @@ class ParallelPairExecutor:
             metrics.inc("executor.batches", batches)
             metrics.inc("executor.pairs_evaluated", len(pairs))
             metrics.inc("rules.identity_evaluations", len(pairs) * len(identity))
-            metrics.inc(
-                "rules.distinctness_evaluations", len(pairs) * len(distinctness)
-            )
+            metrics.inc("rules.distinctness_evaluations", evaluated)
             if batches:
                 metrics.observe("executor.batch_pairs", -(-len(pairs) // batches))
             if crashes:
@@ -385,7 +417,7 @@ class ParallelPairExecutor:
                             s_keys[j],
                             r_rows[i],
                             s_rows[j],
-                            rule=distinctness[rule_index].name,
+                            rule=distinctness.rules[rule_index].name,
                         )
 
             if self._retry is not None and self._retry.max_attempts > 1:
@@ -411,7 +443,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: CompiledRules,
     ) -> Executor:
         if self.backend == "thread":
             return ThreadPoolExecutor(max_workers=self.workers)
@@ -427,7 +459,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: CompiledRules,
     ) -> Tuple[List[BatchResult], List[Tuple[IndexPair, str]], int, int]:
         """Run batches across a pool, recovering every lost batch.
 
@@ -490,7 +522,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: CompiledRules,
     ) -> Tuple[List[int], int]:
         """One pool attempt over *pending*; returns (still pending, crashes).
 
@@ -545,7 +577,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: CompiledRules,
         quarantined: List[Tuple[IndexPair, str]],
     ) -> BatchResult:
         """Evaluate *batch* pair by pair, isolating the pairs that raise.
@@ -558,9 +590,10 @@ class ParallelPairExecutor:
         distinct: List[IndexPair] = []
         match_rules: List[int] = []
         distinct_rules: List[int] = []
+        evaluated = 0
         for pair in batch:
             try:
-                pair_m, pair_d, pair_mr, pair_dr = _evaluate_batch(
+                pair_m, pair_d, pair_mr, pair_dr, pair_n = _evaluate_batch(
                     [pair], r_rows, s_rows, identity, distinctness
                 )
             except Exception as exc:
@@ -570,4 +603,5 @@ class ParallelPairExecutor:
             distinct.extend(pair_d)
             match_rules.extend(pair_mr)
             distinct_rules.extend(pair_dr)
-        return matches, distinct, match_rules, distinct_rules
+            evaluated += pair_n
+        return matches, distinct, match_rules, distinct_rules, evaluated

@@ -825,13 +825,19 @@ def _identify_multiway(args) -> int:
     conflicts = identifier.conflicts()
     if not args.quiet:
         key_attrs = identifier.extended_key.attributes
+        # Member keys in declared attribute order: primary_key is a
+        # frozenset, whose order varies with the hash seed.
+        member_keys = {
+            name: [n for n in source.schema.names if n in source.schema.primary_key]
+            for name, source in sources.items()
+        }
         print(f"{len(clusters)} entity cluster(s) across {len(sources)} sources")
         for cluster in clusters:
             rendered = ", ".join(
                 f"{attr}={value}" for attr, value in zip(key_attrs, cluster.key)
             )
             members = ", ".join(
-                f"{name}:{row.values_for(sources[name].schema.primary_key)}"
+                f"{name}:{row.values_for(member_keys[name])}"
                 for name, row in cluster.members
             )
             print(f"  [{rendered}] <- {members}")

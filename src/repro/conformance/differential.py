@@ -49,6 +49,7 @@ from repro.conformance.oracles import Knowledge, _key_attrs
 from repro.core.identifier import EntityIdentifier
 from repro.core.matching_table import build_matching_table, key_values
 from repro.core.multiway import EntityCluster
+from repro.relational.nulls import Maybe
 from repro.relational.relation import Relation
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.retry import RetryPolicy
@@ -724,9 +725,12 @@ def reference_tables(workload: Workload) -> CanonicalTables:
     The matching table is the plain K_Ext hash join
     (:func:`~repro.core.matching_table.build_matching_table`) over the
     ILFD-extended relations; the negative table is the exhaustive nested
-    loop over R'×S' asking a rule engine which ILFD duals fire.  Both are
-    built from the workload's :class:`~repro.conformance.Knowledge`, so
-    the baseline cell is checked against code it does not run.
+    loop over R'×S' evaluating every distinctness rule with the
+    interpreted :meth:`~repro.rules.DistinctnessRule.applies` in both
+    orientations, not the compiled rules the executor and
+    :class:`~repro.rules.engine.RuleEngine` run.  Both are built from
+    the workload's :class:`~repro.conformance.Knowledge`, so the
+    baseline cell is checked against code it does not run.
     """
     knowledge = Knowledge.from_workload(workload)
     extended_r, extended_s = knowledge.extend(workload.r, workload.s)
@@ -734,12 +738,16 @@ def reference_tables(workload: Workload) -> CanonicalTables:
     matching = build_matching_table(
         extended_r, extended_s, knowledge.extended_key, r_key, s_key
     )
-    firing = knowledge.rule_engine().firing_distinctness_rules
+    rules = knowledge.rule_engine().distinctness_rules
     negative = canonical_pairs(
         (key_values(r_row, r_key), key_values(s_row, s_key))
         for r_row in extended_r
         for s_row in extended_s
-        if firing(r_row, s_row)
+        if any(
+            rule.applies(r_row, s_row) is Maybe.TRUE
+            or rule.applies(s_row, r_row) is Maybe.TRUE
+            for rule in rules
+        )
     )
     return CanonicalTables(mt=canonical_table(matching), nmt=negative)
 

@@ -78,7 +78,6 @@ WELL_KNOWN_METRICS: Dict[str, str] = {
     "serving.cache_invalidations": "cache entries invalidated by writes",
     "serving.stale_serves": "degraded responses served from the stale cache",
     "serving.degraded": "requests that hit the degradation path",
-    "serving.replica_reconnects": "replica connections reopened after failure",
     "serving.replica_reopens": "replica connections closed and reopened after failure",
     "serving.cache_rejected_puts": "cache puts dropped because the key was invalidated mid-read",
     "serving.digests_resealed": "checkpoint section digests resealed at graceful shutdown",

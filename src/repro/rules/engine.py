@@ -11,25 +11,25 @@ rules of both kinds means the rule set itself is unsound for the data and
 raises :class:`~repro.rules.errors.RuleConflictError` (silently choosing
 either answer would violate the consistency constraint).
 
-Distinctness rules are indexed by one ``e1.A = literal`` conjunct each
-(every ILFD dual has one): a rule is evaluated only in the orientations
-whose e1 tuple binds A to that literal, and rules without such a
-conjunct always.  :meth:`DistinctnessRule.applies` stays the semantics.
+Distinctness rules are evaluated in their compiled form
+(:class:`~repro.rules.compiled.CompiledRules`, built once per engine),
+indexed by one ``e1.A = literal`` conjunct each (every ILFD dual has
+one): a rule is evaluated only in the orientations whose e1 tuple binds
+A to that literal, and rules without such a conjunct always.
+:meth:`DistinctnessRule.applies` stays the semantics.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from repro.observability.tracer import NO_OP_TRACER, Tracer
-from repro.relational.errors import AttributeError_
 from repro.relational.nulls import Maybe
+from repro.rules.compiled import CompiledRules
 from repro.rules.distinctness import DistinctnessRule
 from repro.rules.errors import RuleConflictError
 from repro.rules.identity import IdentityRule
-from repro.rules.predicates import Comparator, Literal
 
 __all__ = ["MatchStatus", "RuleEngine"]
 
@@ -61,26 +61,7 @@ class RuleEngine:
         self._identity: Tuple[IdentityRule, ...] = tuple(identity_rules)
         self._distinctness: Tuple[DistinctnessRule, ...] = tuple(distinctness_rules)
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
-        # (attribute, literal) -> the rules whose first e1.A = literal
-        # conjunct it is (literals sit on the right after normalisation).
-        self._anchors: Dict[Tuple[str, Any], List[int]] = defaultdict(list)
-        self._unanchored: Set[int] = set()
-        for index, rule in enumerate(self._distinctness):
-            anchor = next(
-                (
-                    (pred.left.attribute, pred.right.value)
-                    for pred in rule.predicates
-                    if pred.op is Comparator.EQ
-                    and isinstance(pred.right, Literal)
-                    and pred.left.entity == 1
-                ),
-                None,
-            )
-            if anchor is None:
-                self._unanchored.add(index)
-            else:
-                self._anchors[anchor].append(index)
-        self._anchor_attributes = {attribute for attribute, _ in self._anchors}
+        self._compiled = CompiledRules(self._distinctness)
 
     @property
     def identity_rules(self) -> Tuple[IdentityRule, ...]:
@@ -118,18 +99,6 @@ class RuleEngine:
             metrics.inc("rules.identity_fired", len(fired))
         return fired
 
-    def _anchored(self, row: Mapping) -> Set[int]:
-        """Indices of the rules whose anchor *row* satisfies as e1."""
-        found: Set[int] = set()
-        for attribute in self._anchor_attributes:
-            try:
-                found.update(self._anchors.get((attribute, row[attribute]), ()))
-            except TypeError:  # an unhashable value: evaluate every rule
-                return set(range(len(self._distinctness)))
-            except (KeyError, AttributeError_):  # absent: NULL equals no literal
-                continue
-        return found
-
     def firing_distinctness_rules(
         self, row1: Mapping, row2: Mapping
     ) -> List[DistinctnessRule]:
@@ -138,25 +107,12 @@ class RuleEngine:
         In declaration order.  An anchored rule is evaluated only in
         the orientations whose e1 tuple satisfies its anchor.
         """
-        forward, backward = self._anchored(row1), self._anchored(row2)
-        candidates = self._unanchored | forward | backward
-        fired: List[DistinctnessRule] = []
-        for index in sorted(candidates):
-            rule = self._distinctness[index]
-            unanchored = index in self._unanchored
-            if (
-                (unanchored or index in forward)
-                and rule.applies(row1, row2) is Maybe.TRUE
-            ) or (
-                (unanchored or index in backward)
-                and rule.applies(row2, row1) is Maybe.TRUE
-            ):
-                fired.append(rule)
+        indices, evaluated = self._compiled.firing(row1, row2)
         if self._tracer.enabled:
             metrics = self._tracer.metrics
-            metrics.inc("rules.distinctness_evaluations", len(candidates))
-            metrics.inc("rules.distinctness_fired", len(fired))
-        return fired
+            metrics.inc("rules.distinctness_evaluations", evaluated)
+            metrics.inc("rules.distinctness_fired", len(indices))
+        return [self._distinctness[index] for index in indices]
 
     def classify(self, row1: Mapping, row2: Mapping) -> MatchStatus:
         """Three-valued classification of the pair.

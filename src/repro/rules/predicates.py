@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Tuple, Union
 
 from repro.relational.nulls import Maybe, is_null
 from repro.rules.errors import MalformedRuleError
@@ -34,25 +34,30 @@ class Comparator(enum.Enum):
     @property
     def fn(self) -> Callable[[Any, Any], bool]:
         """The Python comparison implementing this operator."""
-        return {
-            Comparator.EQ: operator.eq,
-            Comparator.NE: operator.ne,
-            Comparator.LT: operator.lt,
-            Comparator.GT: operator.gt,
-            Comparator.LE: operator.le,
-            Comparator.GE: operator.ge,
-        }[self]
+        return _FUNCTIONS[self]
 
     def flipped(self) -> "Comparator":
         """The operator with its operands swapped (a op b ⇔ b op' a)."""
-        return {
-            Comparator.EQ: Comparator.EQ,
-            Comparator.NE: Comparator.NE,
-            Comparator.LT: Comparator.GT,
-            Comparator.GT: Comparator.LT,
-            Comparator.LE: Comparator.GE,
-            Comparator.GE: Comparator.LE,
-        }[self]
+        return _FLIPPED[self]
+
+
+_FUNCTIONS: Dict[Comparator, Callable[[Any, Any], bool]] = {
+    Comparator.EQ: operator.eq,
+    Comparator.NE: operator.ne,
+    Comparator.LT: operator.lt,
+    Comparator.GT: operator.gt,
+    Comparator.LE: operator.le,
+    Comparator.GE: operator.ge,
+}
+
+_FLIPPED: Dict[Comparator, Comparator] = {
+    Comparator.EQ: Comparator.EQ,
+    Comparator.NE: Comparator.NE,
+    Comparator.LT: Comparator.GT,
+    Comparator.GT: Comparator.LT,
+    Comparator.LE: Comparator.GE,
+    Comparator.GE: Comparator.LE,
+}
 
 
 @dataclass(frozen=True, order=True)

@@ -170,10 +170,7 @@ class ReplicaPool:
             except (sqlite3.OperationalError, StoreError):
                 self._drop_replica()
                 if self._tracer.enabled:
-                    # replica_reconnects kept as a legacy alias of the
-                    # documented replica_reopens counter.
                     self._tracer.metrics.inc("serving.replica_reopens")
-                    self._tracer.metrics.inc("serving.replica_reconnects")
                 raise
 
         if self._retry.max_attempts > 1:

@@ -63,7 +63,7 @@ class TestRetry:
             counts = pool.run(flaky)
             assert counts["matches"] > 0
             assert calls["n"] == 2
-        assert tracer.metrics.counter("serving.replica_reconnects") == 1
+        assert tracer.metrics.counter("serving.replica_reopens") == 1
 
     def test_exhausted_retries_raise(self, store_path):
         from repro.resilience import ResilienceError
@@ -110,8 +110,6 @@ class TestFdLeakAudit:
             assert pool.open_connections() == baseline_conns
             assert self._fd_count() == baseline_fds
         assert tracer.metrics.counter("serving.replica_reopens") == 100
-        # legacy alias kept in lockstep
-        assert tracer.metrics.counter("serving.replica_reconnects") == 100
 
     def test_open_connections_tracks_lifecycle(self, store_path):
         pool = ReplicaPool(store_path, workers=2)

@@ -173,3 +173,33 @@ class TestMain:
         )
         assert status == 0
         assert "TwinCities" in capsys.readouterr().out
+
+
+def test_nway_member_keys_print_independent_of_hash_seed(tmp_path):
+    """N-way `identify --source` renders each member key in the source's
+    declared attribute order, so stdout is the same under every hash seed."""
+    import os
+    import subprocess
+    import sys
+
+    hr = tmp_path / "hr.csv"
+    hr.write_text("name,dept,title\nAnn,Sales,Lead\nBob,Ops,Clerk\n")
+    payroll = tmp_path / "payroll.csv"
+    payroll.write_text("name,dept,rating\nAnn,Sales,A\nBob,Ops,B\n")
+    argv = [
+        sys.executable, "-m", "repro.cli", "identify",
+        "--source", f"hr={hr}", "--source", f"payroll={payroll}",
+        "--key", "hr=name,dept", "--key", "payroll=name,dept",
+        "--extended-key", "name,dept",
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        result = subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert "hr:('Ann', 'Sales')" in outputs[0]
