@@ -6,16 +6,13 @@ Two modes:
   asserting blocked/legacy equivalence while timing both paths.
 - script mode (``python benchmarks/bench_blocking.py``): the scaling
   characterisation at 1k/5k/10k rows per side, written machine-readable
-  to ``BENCH_blocking.json`` — pairs-pruned ratio, wall-clock of the
-  hash-blocked pipeline vs the cross-product path, and serial vs
-  4-worker executor timings.  ``--smoke`` runs one small size and
-  asserts the reduction ratio is positive (the CI check).
+  to ``BENCH_blocking.json`` — pairs-pruned ratio and wall-clock of the
+  hash-blocked pipeline vs the cross-product path.  ``--smoke`` runs one
+  small size and asserts the reduction ratio is positive (the CI check).
 
-Honesty notes, recorded in the JSON itself: full cross-product pair
+Honesty note, recorded in the JSON itself: full cross-product pair
 evaluation is only measured outright where affordable; at larger sizes
-it is extrapolated from a timed slice (``estimated: true``).  The
-executor speedup is bounded by ``cpu_count`` — on a single-CPU host the
-4-worker run measures dispatch overhead, not parallelism.
+it is extrapolated from a timed slice (``estimated: true``).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,7 +31,7 @@ from repro.blocking import (
     BlockingContext,
     CrossProductBlocker,
     ExtendedKeyHashBlocker,
-    ParallelPairExecutor,
+    PairExecutor,
 )
 from repro.core.identifier import EntityIdentifier
 from repro.workloads import RestaurantWorkloadSpec, restaurant_workload
@@ -101,9 +97,7 @@ def test_reduction_ratio_positive(benchmark):
     identifier = _identifier(workload)
     extended_r, extended_s = identifier.extended_relations()
     r_rows, s_rows = list(extended_r), list(extended_s)
-    context = BlockingContext.of(
-        identifier.extended_key.attributes, identifier.ilfds
-    )
+    context = BlockingContext.of(identifier.extended_key.attributes)
 
     def run():
         return ExtendedKeyHashBlocker().candidate_pairs(r_rows, s_rows, context)
@@ -125,7 +119,7 @@ def _evaluate_cross_ms(identifier, r_rows, s_rows, context) -> dict:
     """Wall-clock of evaluating the cross product, sliced when too big."""
     total = len(r_rows) * len(s_rows)
     candidates = CrossProductBlocker().candidate_pairs(r_rows, s_rows, context)
-    executor = ParallelPairExecutor(1)
+    executor = PairExecutor()
     rules = identifier.rules.identity_rules
     if total <= _EVALUATE_BUDGET_PAIRS:
         elapsed = _time_ms(
@@ -157,7 +151,7 @@ def _bench_size(rows: int) -> dict:
 
     extended_r, extended_s = legacy.extended_relations()
     r_rows, s_rows = list(extended_r), list(extended_s)
-    context = BlockingContext.of(legacy.extended_key.attributes, legacy.ilfds)
+    context = BlockingContext.of(legacy.extended_key.attributes)
     generate_ms = _time_ms(
         lambda: ExtendedKeyHashBlocker()
         .candidate_pairs(r_rows, s_rows, context)
@@ -190,42 +184,6 @@ def _bench_size(rows: int) -> dict:
     }
 
 
-def _bench_executor(rows: int, workers: int = 4) -> dict:
-    workload = _workload(rows)
-    identifier = _identifier(workload)
-    extended_r, extended_s = identifier.extended_relations()
-    r_rows, s_rows = list(extended_r), list(extended_s)
-    context = BlockingContext.of(
-        identifier.extended_key.attributes, identifier.ilfds
-    )
-    candidates = CrossProductBlocker().candidate_pairs(
-        r_rows, s_rows, context
-    ).pair_list()
-    rules = identifier.rules.identity_rules
-
-    serial_ms = _time_ms(
-        lambda: ParallelPairExecutor(1).evaluate(
-            candidates, r_rows, s_rows, rules
-        )
-    )
-    parallel_ms = _time_ms(
-        lambda: ParallelPairExecutor(workers, backend="process").evaluate(
-            candidates, r_rows, s_rows, rules
-        )
-    )
-    return {
-        "rows": len(r_rows),
-        "pairs": len(candidates),
-        "workers": workers,
-        "backend": "process",
-        "serial_ms": round(serial_ms, 1),
-        f"process{workers}_ms": round(parallel_ms, 1),
-        "speedup": round(serial_ms / parallel_ms, 3) if parallel_ms else None,
-        "note": "speedup is bounded by cpu_count; on a single-CPU host the "
-        "multi-worker run measures pool dispatch overhead, not parallelism",
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Blocking scaling bench; writes BENCH_blocking.json."
@@ -234,12 +192,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--sizes",
         default="1000,5000,10000",
         help="comma-separated rows-per-side targets (default 1000,5000,10000)",
-    )
-    parser.add_argument(
-        "--executor-rows",
-        type=int,
-        default=1000,
-        help="rows per side for the serial-vs-parallel executor comparison",
     )
     parser.add_argument(
         "--out",
@@ -271,26 +223,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from history import record_series
 
     sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    cpu_count = os.cpu_count() or 1
-    report = {
-        "bench": "blocking",
-        "env": env_header(),
-        "sizes": [],
-        "executor": None,
-    }
+    report = {"bench": "blocking", "env": env_header(), "sizes": []}
     for rows in sizes:
         print(f"benching {rows} rows per side ...", flush=True)
         report["sizes"].append(_bench_size(rows))
-    if cpu_count <= 1:
-        note = (
-            "skipped: os.cpu_count() reports 1 CPU — a multi-worker run "
-            "would measure pool dispatch overhead, not parallelism"
-        )
-        print(f"executor comparison {note}", flush=True)
-        report["executor"] = {"skipped": True, "note": note}
-    else:
-        print(f"benching executor at {args.executor_rows} rows ...", flush=True)
-        report["executor"] = _bench_executor(args.executor_rows)
 
     out_path = Path(args.out)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -301,16 +237,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{entry['hash']['fraction_evaluated']:.2%} of "
             f"{entry['total_pairs']} pairs, mt_equal={entry['mt_equal']}, "
             f"nmt_equal={entry['nmt_equal']}"
-        )
-    executor = report["executor"]
-    if executor.get("skipped"):
-        print(f"  executor: {executor['note']}")
-    else:
-        parallel_key = "process{0}_ms".format(executor["workers"])
-        print(
-            f"  executor: serial {executor['serial_ms']}ms vs "
-            f"process{executor['workers']} {executor[parallel_key]}ms "
-            f"(cpu_count={cpu_count})"
         )
 
     largest = report["sizes"][-1]

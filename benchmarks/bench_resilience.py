@@ -1,18 +1,16 @@
-"""X4 — resilience: clean-path overhead and crash-recovery latency.
+"""X4 — resilience: clean-path overhead and checkpoint salvage.
 
 Two modes:
 
 - pytest-benchmark (the harness this directory shares): small workloads,
-  asserting that runs with the fault-tolerance machinery attached (and
-  runs that actually crash and recover) stay bit-identical to plain runs
-  while timing them.
+  asserting that runs with the fault-tolerance machinery attached stay
+  bit-identical to plain runs while timing them.
 - script mode (``python benchmarks/bench_resilience.py``): the
   characterisation at 1k/5k/10k rows per side, written machine-readable
   to ``BENCH_resilience.json`` — the wall-clock overhead of attaching an
-  (idle) retry policy + fault injector to the identification pipeline,
-  the latency of recovering from injected worker kills mid-evaluation,
-  and the cost of salvaging a truncated checkpoint.  ``--smoke`` runs
-  one small size and asserts recovery equivalence (the CI check).
+  (idle) retry policy to the pair executor's store write, and the cost
+  of salvaging a truncated checkpoint.  ``--smoke`` runs one small size
+  and asserts equivalence (the CI check).
 
 Honesty notes, recorded in the JSON itself: timings are best-of-N with
 the runs interleaved, so the overhead percentage compares like with
@@ -34,19 +32,12 @@ from typing import Optional, Sequence
 
 import pytest
 
-from repro.blocking import (
-    BlockingContext,
-    ExtendedKeyHashBlocker,
-    ParallelPairExecutor,
-)
+from repro.blocking import BlockingContext, ExtendedKeyHashBlocker, PairExecutor
 from repro.core.identifier import EntityIdentifier
+from repro.core.matching_table import key_values
 from repro.federation import IncrementalIdentifier
-from repro.resilience import (
-    SITE_EXECUTOR_BATCH,
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import RetryPolicy
+from repro.store import MemoryStore
 from repro.store.checkpoint import salvage_incremental
 from repro.workloads import (
     EmployeeWorkloadSpec,
@@ -81,24 +72,9 @@ def _identifier(workload, **kwargs):
     )
 
 
-def _idle_executor(workers: int = 1) -> ParallelPairExecutor:
-    """The clean path under test: machinery attached, nothing injected."""
-    return ParallelPairExecutor(
-        workers,
-        backend="thread" if workers > 1 else "process",
-        retry_policy=RetryPolicy.fast(3),
-        fault_injector=FaultInjector(FaultPlan.none()),
-    )
-
-
-def _crashing_executor(workers: int, crashes: int) -> ParallelPairExecutor:
-    plan = FaultPlan.parse(f"{SITE_EXECUTOR_BATCH}:crash@0..{crashes - 1}")
-    return ParallelPairExecutor(
-        workers,
-        backend="thread",
-        retry_policy=RetryPolicy.fast(3),
-        fault_injector=FaultInjector(plan),
-    )
+def _idle_executor() -> PairExecutor:
+    """The clean path under test: a retry policy attached, nothing failing."""
+    return PairExecutor(retry_policy=RetryPolicy.fast(3))
 
 
 # ----------------------------------------------------------------------
@@ -122,24 +98,6 @@ def test_clean_path_with_resilience_attached(benchmark, rows):
     assert matching.pairs() == plain.pairs()
 
 
-@pytest.mark.parametrize("rows", [150, 400])
-def test_recovery_under_worker_crashes(benchmark, rows):
-    workload = _workload(rows)
-    plain = _identifier(
-        workload, blocker=ExtendedKeyHashBlocker()
-    ).matching_table()
-
-    def run():
-        return _identifier(
-            workload,
-            blocker=ExtendedKeyHashBlocker(),
-            executor=_crashing_executor(workers=2, crashes=2),
-        ).matching_table()
-
-    matching = benchmark(run)
-    assert matching.pairs() == plain.pairs()
-
-
 # ----------------------------------------------------------------------
 # Script mode
 # ----------------------------------------------------------------------
@@ -149,48 +107,53 @@ def _time_ms(fn) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
-def _best_of(fn, reps: int) -> float:
-    return min(_time_ms(fn) for _ in range(reps))
-
-
 def _bench_overhead(rows: int, reps: int) -> dict:
     """Idle-resilience overhead on the instrumented stage.
 
-    The resilience hooks sit on pair evaluation (one injector probe per
-    batch, a retry-policy check around the store write), so the honest
-    overhead measurement times ``ParallelPairExecutor.evaluate`` over
-    the *same* pre-built candidate list with and without the machinery
-    attached — derivation and blocking noise, identical in both arms,
-    never enters the comparison.  Timings interleave plain/resilient and
-    take the best of *reps*, so host noise hits both arms alike.
+    The executor's resilience hook is the retry policy around its store
+    write, so the honest overhead measurement times
+    ``PairExecutor.evaluate`` over the *same* pre-built candidate list,
+    writing its matches to a fresh :class:`MemoryStore`, with and
+    without the policy attached — derivation and blocking noise,
+    identical in both arms, never enters the comparison.  Timings
+    interleave plain/resilient and take the best of *reps*, so host
+    noise hits both arms alike.
     """
     workload = _workload(rows)
     identifier = _identifier(workload)
     extended_r, extended_s = identifier.extended_relations()
     r_rows, s_rows = list(extended_r), list(extended_s)
-    context = BlockingContext.of(
-        identifier.extended_key.attributes, identifier.ilfds
-    )
+    context = BlockingContext.of(identifier.extended_key.attributes)
     candidates = ExtendedKeyHashBlocker().candidate_pairs(
         r_rows, s_rows, context
     ).pair_list()
     rules = identifier.rules.identity_rules
-    # Both arms run the pooled path (the serial path never consults the
-    # injector, which would make the comparison trivially zero).
-    plain_exec = ParallelPairExecutor(2, backend="thread", batch_size=128)
-    resilient_exec = ParallelPairExecutor(
-        2,
-        backend="thread",
-        batch_size=128,
-        retry_policy=RetryPolicy.fast(3),
-        fault_injector=FaultInjector(FaultPlan.none()),
-    )
+    r_keys = [key_values(row, identifier.r_key_attributes) for row in r_rows]
+    s_keys = [key_values(row, identifier.s_key_attributes) for row in s_rows]
+
+    def write(executor):
+        store = MemoryStore()
+        store.set_key_attributes(
+            identifier.r_key_attributes, identifier.s_key_attributes
+        )
+        return executor.evaluate(
+            candidates,
+            r_rows,
+            s_rows,
+            rules,
+            store=store,
+            r_keys=r_keys,
+            s_keys=s_keys,
+        )
+
+    plain_exec = PairExecutor()
+    resilient_exec = _idle_executor()
 
     def plain():
-        return plain_exec.evaluate(candidates, r_rows, s_rows, rules)
+        return write(plain_exec)
 
     def resilient():
-        return resilient_exec.evaluate(candidates, r_rows, s_rows, rules)
+        return write(resilient_exec)
 
     assert resilient().matches == plain().matches  # before any timing
     plain_times, resilient_times = [], []
@@ -207,41 +170,6 @@ def _bench_overhead(rows: int, reps: int) -> dict:
         "plain_ms": round(plain_ms, 1),
         "resilient_idle_ms": round(resilient_ms, 1),
         "overhead_fraction": round(overhead, 4),
-        "matches_equal": True,
-    }
-
-
-def _bench_recovery(rows: int, reps: int, workers: int = 4) -> dict:
-    """Latency of recovering from injected worker kills mid-evaluation."""
-    workload = _workload(rows)
-    plain_pairs = _identifier(
-        workload, blocker=ExtendedKeyHashBlocker()
-    ).matching_table().pairs()
-
-    def clean():
-        return _identifier(
-            workload,
-            blocker=ExtendedKeyHashBlocker(),
-            executor=_idle_executor(workers),
-        ).matching_table()
-
-    def killed():
-        return _identifier(
-            workload,
-            blocker=ExtendedKeyHashBlocker(),
-            executor=_crashing_executor(workers, crashes=3),
-        ).matching_table()
-
-    assert killed().pairs() == plain_pairs
-    clean_ms = _best_of(clean, reps)
-    killed_ms = _best_of(killed, reps)
-    return {
-        "rows_r": len(workload.r),
-        "workers": workers,
-        "batches_killed": 3,
-        "clean_parallel_ms": round(clean_ms, 1),
-        "with_recovery_ms": round(killed_ms, 1),
-        "recovery_latency_ms": round(max(0.0, killed_ms - clean_ms), 1),
         "matches_equal": True,
     }
 
@@ -309,12 +237,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="repetitions per timing (best-of; default 5)",
     )
     parser.add_argument(
-        "--recovery-rows",
-        type=int,
-        default=2000,
-        help="rows per side for the crash-recovery latency measurement",
-    )
-    parser.add_argument(
         "--out",
         default=str(
             Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
@@ -330,19 +252,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one small size, assert recovery equivalence, skip the file write",
+        help="one small size, assert equivalence, skip the file write",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
         overhead = _bench_overhead(300, reps=2)
-        recovery = _bench_recovery(300, reps=1, workers=2)
-        print(
-            f"smoke: overhead={overhead['overhead_fraction']:.2%} "
-            f"recovery_latency={recovery['recovery_latency_ms']}ms"
-        )
+        print(f"smoke: overhead={overhead['overhead_fraction']:.2%}")
         assert overhead["matches_equal"], "idle resilience changed the result"
-        assert recovery["matches_equal"], "crash recovery changed the result"
         return 0
 
     from conftest import env_header
@@ -353,20 +270,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench": "resilience",
         "env": env_header(),
         "overhead": [],
-        "recovery": None,
         "salvage": None,
         "note": "overhead_fraction compares best-of-N interleaved timings of "
-        "the identical pipeline with and without the retry policy and "
-        "(empty-plan) fault injector attached; the acceptance threshold "
-        "is overhead <= 5% at the largest size",
+        "the identical pair evaluation and MemoryStore write with and "
+        "without the retry policy attached; the acceptance threshold is "
+        "overhead <= 5% at the largest size",
     }
     for rows in sizes:
         print(f"benching idle-resilience overhead at {rows} rows ...", flush=True)
         report["overhead"].append(_bench_overhead(rows, args.reps))
-    print(
-        f"benching crash recovery at {args.recovery_rows} rows ...", flush=True
-    )
-    report["recovery"] = _bench_recovery(args.recovery_rows, args.reps)
     print("benching checkpoint salvage ...", flush=True)
     report["salvage"] = _bench_salvage(1000)
 
@@ -382,13 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"resilient-idle {entry['resilient_idle_ms']}ms "
             f"(overhead {entry['overhead_fraction']:.2%})"
         )
-    recovery = report["recovery"]
-    print(
-        f"  recovery: clean {recovery['clean_parallel_ms']}ms, with "
-        f"{recovery['batches_killed']} killed batches "
-        f"{recovery['with_recovery_ms']}ms "
-        f"(+{recovery['recovery_latency_ms']}ms)"
-    )
     salvage = report["salvage"]
     print(
         f"  salvage: {salvage['salvage_ms']}ms to rebuild "
@@ -409,12 +314,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "latency",
                 largest["resilient_idle_ms"],
                 largest["rows_r"],
-            ),
-            (
-                "recovery_latency",
-                "latency",
-                recovery["recovery_latency_ms"],
-                recovery["rows_r"],
             ),
         ],
         env=report["env"],

@@ -13,13 +13,11 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.blocking.base import Blocker, BlockingContext
 from repro.core.matching_table import KeyValues
 from repro.observability.tracer import NO_OP_TRACER, Tracer
 from repro.relational.relation import Relation
-from repro.relational.row import Row
 
 __all__ = [
     "InapplicableError",
@@ -74,20 +72,10 @@ class BaselineResult:
 
 
 class BaselineMatcher(abc.ABC):
-    """Base class for the five Section-2.2 approaches.
-
-    Matchers that score tuple pairs enumerate them through
-    :meth:`_candidate_row_pairs`, which defaults to the exhaustive cross
-    product (the historical semantics) but honours an attached
-    :class:`~repro.blocking.Blocker` (:meth:`with_blocker`).  Electing a
-    pruning blocker trades recall below the similarity threshold for
-    scale — e.g. the sorted-neighborhood blocker keeps near-equal rows
-    while skipping pairs no window or equality structure connects.
-    """
+    """Base class for the five Section-2.2 approaches."""
 
     name: str = "baseline"
     guarantees_soundness: bool = False
-    blocker: Optional[Blocker] = None
 
     @abc.abstractmethod
     def match(self, r: Relation, s: Relation) -> BaselineResult:
@@ -110,15 +98,12 @@ class BaselineMatcher(abc.ABC):
         with tracer.span(
             "baseline.match", matcher=self.name, r_rows=len(r), s_rows=len(s)
         ) as span:
-            self._run_tracer = tracer  # lets _candidate_row_pairs record blocking metrics
             try:
                 result = self.match(r, s)
             except InapplicableError:
                 if tracer.enabled:
                     tracer.metrics.inc(f"baseline.{self.name}.inapplicable")
                 raise
-            finally:
-                self._run_tracer = None
             span.set("pairs", len(result.pairs))
         if tracer.enabled:
             metrics = tracer.metrics
@@ -133,41 +118,6 @@ class BaselineMatcher(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    _run_tracer: Optional[Tracer] = None
-
-    def with_blocker(self, blocker: Optional[Blocker]) -> "BaselineMatcher":
-        """Route pair enumeration through *blocker* (None = cross product)."""
-        self.blocker = blocker
-        return self
-
-    def _candidate_row_pairs(
-        self,
-        r: Relation,
-        s: Relation,
-        *,
-        key_attributes: Sequence[str] = (),
-    ) -> Iterator[Tuple[Row, Row]]:
-        """The (r_row, s_row) pairs this matcher should score.
-
-        Cross product without a blocker; otherwise the attached
-        blocker's candidates, blocked on *key_attributes* (the
-        attributes the matcher compares).  When called under
-        :meth:`run`, blocking metrics land in that run's tracer.
-        """
-        if self.blocker is None:
-            for r_row in r:
-                for s_row in s:
-                    yield r_row, s_row
-            return
-        r_rows = list(r)
-        s_rows = list(s)
-        context = BlockingContext.of(key_attributes)
-        candidates = self.blocker.block(
-            r_rows, s_rows, context, tracer=self._run_tracer
-        )
-        for i, j in candidates:
-            yield r_rows[i], s_rows[j]
-
     @staticmethod
     def _r_key_attrs(r: Relation) -> Tuple[str, ...]:
         key = r.schema.primary_key

@@ -18,6 +18,7 @@ still shows the approach mis-matching homonyms with identical attributes.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import List, Mapping, Optional, Sequence
 
 from repro.baselines.base import BaselineMatcher, BaselineResult, InapplicableError, ScoredPair
@@ -88,9 +89,7 @@ class ProbabilisticAttributeMatcher(BaselineMatcher):
         r_key_attrs = self._r_key_attrs(r)
         s_key_attrs = self._s_key_attrs(s)
         candidates: List[ScoredPair] = []
-        for r_row, s_row in self._candidate_row_pairs(
-            r, s, key_attributes=attributes
-        ):
+        for r_row, s_row in product(r, s):
             value = self.comparison_value(r_row, s_row, attributes)
             if value >= self._threshold:
                 candidates.append(

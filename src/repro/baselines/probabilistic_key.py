@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import BaselineMatcher, BaselineResult, InapplicableError, ScoredPair
@@ -104,9 +105,7 @@ class ProbabilisticKeyMatcher(BaselineMatcher):
         pairs: List[ScoredPair] = []
         r_key_attrs = self._r_key_attrs(r)
         s_key_attrs = self._s_key_attrs(s)
-        for r_row, s_row in self._candidate_row_pairs(
-            r, s, key_attributes=list(attributes)
-        ):
+        for r_row, s_row in product(r, s):
             value = self.score(r_row, s_row, attributes)
             if value >= self._threshold:
                 pairs.append(

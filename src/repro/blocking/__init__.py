@@ -1,27 +1,22 @@
-"""Candidate-pair generation (blocking) and parallel batch execution.
+"""Candidate-pair generation (blocking) and the serial pair kernel.
 
 Every identification path in the repo used to enumerate the full
 O(|R|·|S|) cross product before applying identity/distinctness rules.
-This subsystem replaces that enumeration with *blocking* — the standard
-scale-out move in large-scale entity matching — built on structures the
+This subsystem lets a caller choose the candidates instead — the
+standard move in large-scale entity matching — built on a structure the
 paper itself supplies: the extended-key equivalence rule only fires on
-pairs with identical non-NULL K_Ext values, and ILFD antecedents bound
-where derivations act.
+pairs with identical non-NULL K_Ext values.
 
 - :mod:`repro.blocking.base` — the :class:`Blocker` contract,
   :class:`CandidatePairs` (candidate stream + pruning stats), and the
-  exhaustive :class:`CrossProductBlocker` fallback.
+  exhaustive :class:`CrossProductBlocker`.
 - :mod:`repro.blocking.strategies` — :class:`ExtendedKeyHashBlocker`
-  (inverted index over K_Ext), :class:`IlfdConditionBlocker` (antecedent
-  co-satisfaction), :class:`SortedNeighborhoodBlocker` (windowed sort).
-- :mod:`repro.blocking.executor` — :class:`ParallelPairExecutor`,
-  batch-parallel rule evaluation over ``concurrent.futures`` with
-  deterministic, consistency-checked merging.
+  (inverted index over K_Ext).
+- :mod:`repro.blocking.executor` — :class:`PairExecutor`, the serial
+  kernel that classifies candidate pairs against the rules.
 
 Consumers: :class:`~repro.core.identifier.EntityIdentifier` (``blocker``
-/ ``workers`` parameters and the ``--blocker`` / ``--workers`` CLI
-flags) and :class:`~repro.baselines.base.BaselineMatcher` (``blocker``
-attribute).
+/ ``executor`` parameters and the ``--blocker`` CLI flag).
 See ``docs/BLOCKING.md`` for the decision table.
 """
 
@@ -31,17 +26,9 @@ from repro.blocking.base import (
     CandidatePairs,
     CrossProductBlocker,
 )
-from repro.blocking.errors import (
-    BlockingError,
-    MergeConsistencyError,
-    UnknownBlockerError,
-)
-from repro.blocking.executor import PairEvaluation, ParallelPairExecutor
-from repro.blocking.strategies import (
-    ExtendedKeyHashBlocker,
-    IlfdConditionBlocker,
-    SortedNeighborhoodBlocker,
-)
+from repro.blocking.errors import BlockingError, UnknownBlockerError
+from repro.blocking.executor import PairEvaluation, PairExecutor
+from repro.blocking.strategies import ExtendedKeyHashBlocker
 
 __all__ = [
     "Blocker",
@@ -49,12 +36,9 @@ __all__ = [
     "CandidatePairs",
     "CrossProductBlocker",
     "ExtendedKeyHashBlocker",
-    "IlfdConditionBlocker",
-    "SortedNeighborhoodBlocker",
     "PairEvaluation",
-    "ParallelPairExecutor",
+    "PairExecutor",
     "BlockingError",
-    "MergeConsistencyError",
     "UnknownBlockerError",
     "BLOCKERS",
     "make_blocker",
@@ -63,8 +47,6 @@ __all__ = [
 BLOCKERS = {
     "cross": CrossProductBlocker,
     "hash": ExtendedKeyHashBlocker,
-    "ilfd": IlfdConditionBlocker,
-    "snm": SortedNeighborhoodBlocker,
 }
 """CLI/config names → blocker classes (see ``repro identify --blocker``)."""
 

@@ -10,10 +10,9 @@ so that no pair the rules could declare matching is ever pruned.
 The paper's own machinery supplies semantically safe block keys: the
 extended-key equivalence rule (Section 4.1) only fires on pairs whose
 K_Ext values are all non-NULL and equal, so hashing on K_Ext loses no
-match; ILFD antecedents (Section 4.2) bound where derivations can still
-complete a tuple.  Each strategy in :mod:`repro.blocking.strategies`
-exploits one of these structures; :class:`CrossProductBlocker` here is
-the exhaustive fallback preserving the historical semantics exactly.
+match (:class:`~repro.blocking.strategies.ExtendedKeyHashBlocker`);
+:class:`CrossProductBlocker` here is the exhaustive default preserving
+the historical semantics exactly.
 
 Blockers consume *extended* rows (unified namespace, ILFD derivations
 already applied) and emit a :class:`CandidatePairs` stream of
@@ -26,10 +25,9 @@ tracer is at hand — it wraps generation in a span and records the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.ilfd.ilfd import ILFDSet
 from repro.observability.tracer import Tracer
 from repro.relational.row import Row
 
@@ -50,27 +48,16 @@ class BlockingContext:
     Attributes
     ----------
     key_attributes:
-        The extended-key attributes (unified names).  Exact-equality
-        blockers hash on these; may be empty for score-based callers
-        (baselines) that block on other attributes.
-    ilfds:
-        The ILFD set in force (used by the ILFD-condition blocker).
+        The extended-key attributes (unified names).  The hash blocker
+        hashes on these; the cross product ignores them.
     """
 
     key_attributes: Tuple[str, ...] = ()
-    ilfds: ILFDSet = field(default_factory=ILFDSet)
 
     @classmethod
-    def of(
-        cls,
-        key_attributes: Sequence[str] = (),
-        ilfds: Optional[ILFDSet] = None,
-    ) -> "BlockingContext":
-        """Build a context from plain sequences."""
-        return cls(
-            key_attributes=tuple(key_attributes),
-            ilfds=ilfds if ilfds is not None else ILFDSet(),
-        )
+    def of(cls, key_attributes: Sequence[str] = ()) -> "BlockingContext":
+        """Build a context from a plain sequence."""
+        return cls(key_attributes=tuple(key_attributes))
 
 
 class CandidatePairs:
@@ -210,7 +197,7 @@ class Blocker(abc.ABC):
 
 
 class CrossProductBlocker(Blocker):
-    """The exhaustive fallback: every pair is a candidate.
+    """The exhaustive default: every pair is a candidate.
 
     Preserves today's exact semantics — identical candidate set, in the
     same R-major order, as the historical nested loops — at a reduction

@@ -8,12 +8,3 @@ class BlockingError(Exception):
 class UnknownBlockerError(BlockingError):
     """A blocker name does not resolve to a registered strategy."""
 
-
-class MergeConsistencyError(BlockingError):
-    """Partial results merged into an inconsistent state.
-
-    Raised by :class:`~repro.blocking.executor.ParallelPairExecutor` when
-    some candidate pair classifies as both matching and distinct — the
-    paper's consistency constraint (Section 3.2) enforced at merge time,
-    before either table is materialised.
-    """

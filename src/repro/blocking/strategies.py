@@ -1,28 +1,16 @@
-"""Concrete blocking strategies.
+"""The extended-key hash blocker.
 
-Three strategies, each keyed to a structure the paper already gives us:
-
-- :class:`ExtendedKeyHashBlocker` — a hash-join-style inverted index
-  over the *full* extended key.  Exactly the pairs the extended-key
-  equivalence rule can declare matching; provably recall-equivalent to
-  the cross product on exact-equality rule paths.
-- :class:`IlfdConditionBlocker` — the hash backbone plus, per ILFD, the
-  pairs of rows satisfying that ILFD's antecedent.  Rows that share
-  instance-level evidence are paired even when their extended keys
-  disagree (useful for distinctness analysis and review queues).
-- :class:`SortedNeighborhoodBlocker` — the hash backbone plus a sliding
-  window over the K_Ext-sorted union of both sides, for near-match
-  workloads where neighbouring sort positions are worth inspecting.
-
-Every strategy's candidate set is therefore a **superset of the hash
-blocker's**, which is itself exactly the set of exact-equality matches —
-the superset property the blocking property tests assert.
+:class:`ExtendedKeyHashBlocker` is a hash-join-style inverted index over
+the *full* extended key: exactly the pairs the extended-key equivalence
+rule can declare matching, so it is recall-equivalent to the cross
+product on exact-equality rule paths — the property the blocking
+property tests assert.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blocking.base import (
     Blocker,
@@ -34,11 +22,7 @@ from repro.blocking.errors import BlockingError
 from repro.relational.nulls import is_null
 from repro.relational.row import Row
 
-__all__ = [
-    "ExtendedKeyHashBlocker",
-    "IlfdConditionBlocker",
-    "SortedNeighborhoodBlocker",
-]
+__all__ = ["ExtendedKeyHashBlocker"]
 
 
 def _complete_key_values(
@@ -119,168 +103,5 @@ class ExtendedKeyHashBlocker(Blocker):
             total_pairs=len(r_rows) * len(s_rows),
             blocker_name=self.name,
             count=count,
-            block_sizes=block_sizes,
-        )
-
-
-class IlfdConditionBlocker(Blocker):
-    """Hash backbone ∪ per-ILFD antecedent co-satisfaction pairs.
-
-    Indexes each ILFD's antecedent: rows (of either side) satisfying the
-    same antecedent LHS are paired with each other; rows satisfying no
-    antecedent are paired only through the extended-key backbone.  The
-    extra pairs are where ILFD consequents concentrate — two rows
-    satisfying ``street=X`` both derive the same county — so this is the
-    right candidate set when analysing near-matches, distinctness-rule
-    coverage, or the effect of prospective ILFDs.
-
-    Candidate order is sorted ``(r_index, s_index)`` (the union is
-    deduplicated, so the backbone's R-major order cannot be preserved).
-    """
-
-    name = "ilfd-condition"
-
-    def candidate_pairs(
-        self,
-        r_rows: Sequence[Row],
-        s_rows: Sequence[Row],
-        context: BlockingContext,
-    ) -> CandidatePairs:
-        key_attrs = list(context.key_attributes)
-        if not key_attrs:
-            raise BlockingError(
-                "ilfd-condition blocking needs key_attributes in the context"
-            )
-        r_complete, index = _hash_backbone(r_rows, s_rows, key_attrs)
-        pairs: Set[IndexPair] = set()
-        for i, values in r_complete:
-            for j in index.get(values, ()):
-                pairs.add((i, j))
-        block_sizes = [len(pairs)] if pairs else []
-        for ilfd in context.ilfds:
-            r_bucket = [
-                i for i, row in enumerate(r_rows) if ilfd.antecedent_holds_in(row)
-            ]
-            if not r_bucket:
-                continue
-            s_bucket = [
-                j for j, row in enumerate(s_rows) if ilfd.antecedent_holds_in(row)
-            ]
-            if not s_bucket:
-                continue
-            block_sizes.append(len(r_bucket) * len(s_bucket))
-            for i in r_bucket:
-                for j in s_bucket:
-                    pairs.add((i, j))
-        ordered = sorted(pairs)
-
-        def generate() -> Iterator[IndexPair]:
-            return iter(ordered)
-
-        return CandidatePairs(
-            generate,
-            total_pairs=len(r_rows) * len(s_rows),
-            blocker_name=self.name,
-            count=len(ordered),
-            block_sizes=block_sizes,
-        )
-
-
-class SortedNeighborhoodBlocker(Blocker):
-    """Hash backbone ∪ a sliding window over the sorted row union.
-
-    The classic sorted-neighborhood method: both sides are merged,
-    sorted by a rendering of the sorting key (default: the extended-key
-    attributes, NULLs last), and every cross-side pair within a window
-    of *window* consecutive records becomes a candidate.  Near-equal
-    rows — one transcription error apart, one NULL short of a complete
-    key — land adjacent in sort order and get paired even though no
-    exact-equality structure connects them.
-
-    The exact-equality backbone is always included, so the candidate set
-    remains a superset of the true match pairs regardless of window
-    size or tie distribution.  Order is sorted ``(r_index, s_index)``.
-    """
-
-    name = "sorted-neighborhood"
-
-    def __init__(
-        self, window: int = 5, *, sort_attributes: Optional[Sequence[str]] = None
-    ) -> None:
-        if window < 2:
-            raise BlockingError(f"window must be at least 2, got {window}")
-        self._window = window
-        self._sort_attributes = (
-            tuple(sort_attributes) if sort_attributes is not None else None
-        )
-
-    @property
-    def window(self) -> int:
-        """The sliding-window size (records, both sides pooled)."""
-        return self._window
-
-    def _sort_key(self, row: Row, attributes: Sequence[str]) -> Tuple:
-        rendered = []
-        for attr in attributes:
-            value = row[attr] if attr in row else None
-            if value is None or is_null(value):
-                rendered.append((1, ""))  # NULLs sort last per attribute
-            else:
-                rendered.append((0, str(value)))
-        return tuple(rendered)
-
-    def candidate_pairs(
-        self,
-        r_rows: Sequence[Row],
-        s_rows: Sequence[Row],
-        context: BlockingContext,
-    ) -> CandidatePairs:
-        attributes = self._sort_attributes or tuple(context.key_attributes)
-        if not attributes:
-            raise BlockingError(
-                "sorted-neighborhood blocking needs sort_attributes or "
-                "key_attributes in the context"
-            )
-        pairs: Set[IndexPair] = set()
-        if context.key_attributes:
-            r_complete, index = _hash_backbone(
-                r_rows, s_rows, list(context.key_attributes)
-            )
-            for i, values in r_complete:
-                for j in index.get(values, ()):
-                    pairs.add((i, j))
-        backbone = len(pairs)
-        # (sort key, side, index): side breaks ties deterministically.
-        pool = [
-            (self._sort_key(row, attributes), 0, i) for i, row in enumerate(r_rows)
-        ] + [
-            (self._sort_key(row, attributes), 1, j) for j, row in enumerate(s_rows)
-        ]
-        pool.sort()
-        window_pairs = 0
-        for start in range(len(pool)):
-            _, side, idx = pool[start]
-            for offset in range(1, self._window):
-                position = start + offset
-                if position >= len(pool):
-                    break
-                _, other_side, other_idx = pool[position]
-                if side == other_side:
-                    continue
-                pair = (idx, other_idx) if side == 0 else (other_idx, idx)
-                if pair not in pairs:
-                    pairs.add(pair)
-                    window_pairs += 1
-        ordered = sorted(pairs)
-        block_sizes = [s for s in (backbone, window_pairs) if s]
-
-        def generate() -> Iterator[IndexPair]:
-            return iter(ordered)
-
-        return CandidatePairs(
-            generate,
-            total_pairs=len(r_rows) * len(s_rows),
-            blocker_name=self.name,
-            count=len(ordered),
             block_sizes=block_sizes,
         )

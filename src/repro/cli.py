@@ -7,7 +7,7 @@ Usage::
         --extended-key name,cuisine,speciality \\
         --ilfd "speciality=Mughalai -> cuisine=Indian" \\
         --ilfds-csv speciality_cuisine.csv \\
-        --blocker hash --workers 4 \\
+        --blocker hash \\
         --trace trace.jsonl --metrics \\
         --out integrated.csv
 
@@ -98,11 +98,11 @@ tracing cost).  ``repro report`` reads the ledger back: ``list``,
 regresses beyond ``--threshold`` against its recorded baseline.
 
 ``--retries N`` turns on the fault-tolerance machinery: transient
-failures in pair evaluation and store commits are retried with capped
+failures in store commits and checkpoints are retried with capped
 exponential backoff (``--retry-delay`` scales it).  ``--inject-faults
 PLAN`` drives the same machinery with deterministic injected faults —
 ``site:kind@index`` specs joined with ``;`` (e.g.
-``executor.batch:crash@0;store.commit:error@1``) or ``random:SEED`` for
+``store.commit:crash@0;store.checkpoint:error@1``) or ``random:SEED`` for
 a seeded random schedule — for chaos-testing a pipeline end to end.  A
 corrupted checkpoint makes ``repro resume`` fail fatally unless
 ``--salvage`` is given, which recovers what the damaged file still
@@ -139,7 +139,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.blocking import BLOCKERS, ParallelPairExecutor, make_blocker
+from repro.blocking import BLOCKERS, PairExecutor, make_blocker
 from repro.core.errors import CoreError
 from repro.core.identifier import EntityIdentifier
 from repro.ilfd.conditions import parse_condition
@@ -229,8 +229,8 @@ def parse_key_spec(text: str):
 _FAULT_PLAN_HELP = (
     "deterministically inject faults: 'site:kind@index[..last]' "
     "specs joined with ';' (sites: federation.load_source.r/.s, "
-    "executor.batch, store.commit, store.checkpoint; kinds: error, "
-    "crash, hang), or 'random:SEED' for a seeded random schedule"
+    "store.commit, store.checkpoint; kinds: error, crash, hang), or "
+    "'random:SEED' for a seeded random schedule"
 )
 
 
@@ -397,7 +397,7 @@ def _add_resilience(
             type=int,
             default=1,
             metavar="N",
-            help="attempt transient operations (pair batches, store "
+            help="attempt transient operations (store writes and "
             "commits, source loads, replica reads) up to N times with "
             "capped exponential backoff (default 1 = no retries)",
         )
@@ -668,16 +668,7 @@ def _identify_arguments(parser: argparse.ArgumentParser) -> None:
         help="candidate pairs for the negative matching table (the "
         "matching table is the same under every choice): 'cross' (default) "
         "evaluates every pair, 'hash' buckets on the extended key (far "
-        "fewer pairs), 'ilfd' adds ILFD-antecedent buckets, 'snm' adds a "
-        "sorted-neighborhood window",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate candidate pairs in N parallel worker processes "
-        "(default 1 = serial)",
+        "fewer pairs)",
     )
     parser.add_argument(
         "--store",
@@ -717,8 +708,6 @@ def _identify(args) -> int:
 
     telemetry = _Telemetry(args, "identify", observe=bool(args.inject_faults))
     tracer = telemetry.tracer
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     retry, injector = _make_resilience(args, tracer)
     store = None
     if args.store:
@@ -735,12 +724,7 @@ def _identify(args) -> int:
             ilfds=ilfds,
             tracer=tracer,
             blocker=make_blocker(args.blocker) if args.blocker else None,
-            executor=ParallelPairExecutor(
-                args.workers,
-                tracer=tracer,
-                retry_policy=retry,
-                fault_injector=injector,
-            ),
+            executor=PairExecutor(tracer=tracer, retry_policy=retry),
             store=store,
         )
         if tracer is not None:
@@ -1183,7 +1167,7 @@ def _conform_arguments(parser: argparse.ArgumentParser) -> None:
         default="full",
         help="differential matrix to run: 'strict' = exhaustive-candidate "
         "cells only (bit-identical MT and NMT), 'full' adds the "
-        "pruning-blocker cells (MT-identical, NMT-subset), 'none' skips "
+        "hash-blocker cell (MT-identical, NMT-subset), 'none' skips "
         "the matrix (default full)",
     )
     parser.add_argument(

@@ -7,7 +7,7 @@ The subsystem has four layers, one per way the contract can be broken:
   growth, and the uniqueness/consistency constraints on MT_RS/NMT_RS,
   each returning structured :class:`Violation` reports;
 - :mod:`~repro.conformance.differential` — one workload through the full
-  configuration matrix (blockers × executors × stores × resume × fault
+  configuration matrix (blockers × stores × resume × serving × fault
   schedules, plus the Prolog prototype), asserting bit-identical
   canonical tables and diffing derivation journals on mismatch;
 - :mod:`~repro.conformance.metamorphic` — input transformations with

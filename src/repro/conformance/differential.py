@@ -1,21 +1,20 @@
 """Differential harness: one workload through the configuration matrix.
 
-Four infrastructure PRs multiplied the ways one identification run can
-be executed — blocker × executor backend × store backend × cold-run vs
-checkpoint-resume × fault-free vs seeded-fault schedule, plus the
-Appendix Prolog prototype.  The paper's contract is indifferent to all
-of it: every configuration must compute the *same* MT_RS/NMT_RS.  This
-module makes that executable:
+Several infrastructure layers multiply the ways one identification run
+can be executed — blocker × store backend × cold-run vs
+checkpoint-resume vs serving-API growth × fault-free vs seeded-fault
+schedule, plus the Appendix Prolog prototype.  The paper's contract is
+indifferent to all of it: every configuration must compute the *same*
+MT_RS/NMT_RS.  This module makes that executable:
 
 - :class:`ConfigCell` names one engine configuration;
 - :func:`run_cell` executes a workload through it and canonicalises the
   resulting tables (:mod:`repro.conformance.canonical`);
 - :func:`run_matrix` runs every cell and compares against the first
   **strict** cell bit-for-bit.  *Strict* cells (exhaustive candidate
-  generation) must agree on both tables; *pruning* cells (hash / ilfd /
-  snm blockers) must agree on MT and produce an NMT that is a subset of
-  the baseline's — exactly the documented trade-off of electing a
-  pruning blocker;
+  generation) must agree on both tables; the *pruning* cell (the hash
+  blocker) must agree on MT and produce an NMT that is a subset of the
+  baseline's — exactly the documented trade-off of electing it;
 - on mismatch, the cells' derivation journals are diffed
   (:func:`diff_journals`) so the report names the rule firings that
   diverged, not just the rows;
@@ -35,7 +34,7 @@ from itertools import combinations
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blocking import make_blocker
-from repro.blocking.executor import ParallelPairExecutor
+from repro.blocking.executor import PairExecutor
 from repro.conformance.canonical import (
     CanonicalPair,
     CanonicalTables,
@@ -88,12 +87,10 @@ class ConfigCell:
     Attributes
     ----------
     name:
-        Stable cell id, e.g. ``cross-thread2-sqlite``.
+        Stable cell id, e.g. ``cross-serial-sqlite``.
     blocker:
         ``None`` for the identifier's default (cross-product) blocker,
         else a :data:`~repro.blocking.BLOCKERS` key.
-    backend / workers:
-        Pair-executor backend (``serial`` / ``thread`` / ``process``).
     store:
         ``memory`` or ``sqlite``.
     resume:
@@ -110,8 +107,8 @@ class ConfigCell:
         (journal verified) and identified — proving API ingestion is
         bit-identical to a cold batch run.
     faults:
-        Optional :meth:`FaultPlan.parse` spec injected into the
-        executor and store, with enough retry budget to recover.
+        Optional :meth:`FaultPlan.parse` spec injected into the store,
+        with enough retry budget to recover.
     chaos:
         When true (implies ``serving``), the serving-API growth runs
         under a seeded fault schedule at the *serving* sites
@@ -137,8 +134,6 @@ class ConfigCell:
 
     name: str
     blocker: Optional[str] = None
-    backend: str = "serial"
-    workers: int = 1
     store: str = "memory"
     resume: bool = False
     serving: bool = False
@@ -259,66 +254,29 @@ class MatrixReport:
 # The matrix
 # ----------------------------------------------------------------------
 def strict_matrix() -> List[ConfigCell]:
-    """The 16 strict cells: exhaustive candidates, bit-identical tables.
+    """The 10 strict cells: exhaustive candidates, bit-identical tables.
 
-    Covers every executor backend, both store backends, cold,
-    checkpoint-resume, serving-API-ingested, and N-way identity-graph
-    runs, three seeded fault schedules (executor error, worker crash,
-    store-commit failure) that recovery must make invisible, and a
-    serving **chaos** cell: API growth under seeded serving-site faults
-    (request errors, commit failures, a failed cache invalidation, and
-    a mid-request kill forcing a restart) with client retries, which
-    must still land on the baseline tables bit-for-bit.
+    Covers both store backends, cold, checkpoint-resume,
+    serving-API-ingested, and N-way identity-graph runs, a seeded
+    store-commit failure that the store-write retry must make invisible,
+    and a serving **chaos** cell: API growth under seeded serving-site
+    faults (request errors, commit failures, a failed cache
+    invalidation, and a mid-request kill forcing a restart) with client
+    retries, which must still land on the baseline tables bit-for-bit.
     """
     return [
         ConfigCell("default-serial-memory"),
         ConfigCell("cross-serial-memory", blocker="cross"),
-        ConfigCell(
-            "cross-thread2-memory", blocker="cross", backend="thread", workers=2
-        ),
-        ConfigCell(
-            "cross-process2-memory",
-            blocker="cross",
-            backend="process",
-            workers=2,
-        ),
         ConfigCell("default-serial-sqlite", store="sqlite"),
         ConfigCell("cross-serial-sqlite", blocker="cross", store="sqlite"),
-        ConfigCell(
-            "cross-thread2-sqlite",
-            blocker="cross",
-            backend="thread",
-            workers=2,
-            store="sqlite",
-        ),
         ConfigCell("default-resume-memory", resume=True),
         ConfigCell("cross-resume-sqlite", blocker="cross", resume=True,
                    store="sqlite"),
-        ConfigCell(
-            "cross-serial-memory-faulted",
-            blocker="cross",
-            faults="executor.batch:error@0",
-        ),
-        ConfigCell(
-            "cross-process2-memory-crash",
-            blocker="cross",
-            backend="process",
-            workers=2,
-            faults="executor.batch:crash@0",
-        ),
         ConfigCell(
             "cross-serial-sqlite-commitfault",
             blocker="cross",
             store="sqlite",
             faults="store.commit:error@0",
-        ),
-        ConfigCell(
-            "cross-thread2-sqlite-faulted",
-            blocker="cross",
-            backend="thread",
-            workers=2,
-            store="sqlite",
-            faults="executor.batch:error@0..1",
         ),
         ConfigCell("serving-ingest-sqlite", store="sqlite", serving=True),
         ConfigCell("entities-graph", store="sqlite", entities=True),
@@ -338,24 +296,12 @@ def strict_matrix() -> List[ConfigCell]:
 
 
 def pruning_cells() -> List[ConfigCell]:
-    """The MT-only cells: recall-equivalent pruning blockers."""
-    return [
-        ConfigCell("hash-serial-memory", blocker="hash", strict=False),
-        ConfigCell("ilfd-serial-memory", blocker="ilfd", strict=False),
-        ConfigCell("snm-serial-memory", blocker="snm", strict=False),
-        ConfigCell(
-            "hash-thread2-sqlite",
-            blocker="hash",
-            backend="thread",
-            workers=2,
-            store="sqlite",
-            strict=False,
-        ),
-    ]
+    """The MT-only cell: the recall-equivalent hash blocker."""
+    return [ConfigCell("hash-serial-memory", blocker="hash", strict=False)]
 
 
 def full_matrix() -> List[ConfigCell]:
-    """Strict cells plus the pruning-blocker cells."""
+    """Strict cells plus the pruning-blocker cell."""
     return strict_matrix() + pruning_cells()
 
 
@@ -415,15 +361,6 @@ def _make_store(cell: ConfigCell, workdir: str, retry, injector) -> MatchStore:
     raise ConformanceError(f"unknown store kind {cell.store!r}")
 
 
-def _make_executor(cell: ConfigCell, retry, injector) -> ParallelPairExecutor:
-    return ParallelPairExecutor(
-        cell.workers,
-        backend=cell.backend if cell.workers > 1 else "serial",
-        retry_policy=retry,
-        fault_injector=injector,
-    )
-
-
 def _identify(
     cell: ConfigCell,
     r,
@@ -441,7 +378,7 @@ def _identify(
             list(extended_key),
             ilfds=list(ilfds),
             blocker=make_blocker(cell.blocker) if cell.blocker else None,
-            executor=_make_executor(cell, retry, injector),
+            executor=PairExecutor(retry_policy=retry),
             store=store,
         )
         result = identifier.run()

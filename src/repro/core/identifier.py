@@ -21,7 +21,7 @@ their extended key, and generates the integrated table T_RS."
 6. emit the integrated table ``T_RS``.
 
 Both tables are classified by one kernel, the
-:class:`~repro.blocking.ParallelPairExecutor`; they differ only in the
+:class:`~repro.blocking.PairExecutor`; they differ only in the
 candidate pairs it is given.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blocking.base import Blocker, BlockingContext, CrossProductBlocker, IndexPair
-from repro.blocking.executor import ParallelPairExecutor
+from repro.blocking.executor import PairExecutor
 from repro.blocking.strategies import ExtendedKeyHashBlocker
 from repro.core.consistency import check_table
 from repro.core.correspondence import AttributeCorrespondence
@@ -138,15 +138,13 @@ class EntityIdentifier:
         distinctness rules are evaluated over, i.e. the bound on the
         negative matching table.  ``None`` (the default) means
         :class:`~repro.blocking.CrossProductBlocker`: the exact, full
-        NMT.  A pruning blocker restricts the NMT to its candidates.
+        NMT.  The ``hash`` blocker restricts the NMT to its candidates.
         The matching table never depends on the blocker: its candidates
         come from the identity rules themselves, so no match is pruned.
     executor:
-        The :class:`~repro.blocking.ParallelPairExecutor` that classifies
-        every candidate pair; defaults to a serial one sharing this
-        pipeline's tracer.  Pass one to choose workers, backend, batch
-        size, retries, or fault injection.  Results are deterministic and
-        identical to serial evaluation regardless of worker count.
+        The :class:`~repro.blocking.PairExecutor` that classifies every
+        candidate pair; defaults to one sharing this pipeline's tracer.
+        Pass one to retry failed store writes.
     store:
         Optional :class:`~repro.store.MatchStore`.  When given, every
         table entry the pipeline produces is persisted to it with a
@@ -171,7 +169,7 @@ class EntityIdentifier:
         derive_ilfd_distinctness: bool = True,
         tracer: Optional[Tracer] = None,
         blocker: Optional[Blocker] = None,
-        executor: Optional[ParallelPairExecutor] = None,
+        executor: Optional[PairExecutor] = None,
         store: Optional[MatchStore] = None,
     ) -> None:
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
@@ -225,9 +223,7 @@ class EntityIdentifier:
 
         self._blocker = blocker if blocker is not None else CrossProductBlocker()
         self._executor = (
-            executor
-            if executor is not None
-            else ParallelPairExecutor(1, tracer=self._tracer)
+            executor if executor is not None else PairExecutor(tracer=self._tracer)
         )
 
         self._extended_r: Optional[Relation] = None
@@ -287,7 +283,7 @@ class EntityIdentifier:
         return self._blocker
 
     @property
-    def executor(self) -> ParallelPairExecutor:
+    def executor(self) -> PairExecutor:
         """The pair executor classifying every candidate pair."""
         return self._executor
 
@@ -466,7 +462,7 @@ class EntityIdentifier:
         product this is the full table (O(|R'|·|S'|) pair evaluations);
         the paper notes real systems would keep it implicit, but the
         worked examples (Table 4) and the completeness accounting need
-        it.  A pruning blocker restricts it to its candidates.
+        it.  The ``hash`` blocker restricts it to its candidates.
         """
         if self._negative is not None:
             return self._negative
@@ -478,7 +474,7 @@ class EntityIdentifier:
             candidates = self._blocker.block(
                 r_rows,
                 s_rows,
-                BlockingContext.of(self._key.attributes, self._ilfds),
+                BlockingContext.of(self._key.attributes),
                 tracer=self._tracer,
             )
             evaluation = self._executor.evaluate(

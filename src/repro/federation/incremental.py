@@ -184,6 +184,15 @@ class _Side:
         self.extended: Dict[KeyValues, Row] = {}
         self.index: Dict[Tuple[Any, ...], Set[KeyValues]] = defaultdict(set)
 
+    def copy(self) -> "_Side":
+        """An independent copy of the side's rows and index (rows are shared)."""
+        clone = _Side(self.name, self.schema)
+        clone.raw = dict(self.raw)
+        clone.extended = dict(self.extended)
+        for complete, keys in self.index.items():
+            clone.index[complete] = set(keys)
+        return clone
+
 
 class IncrementalIdentifier:
     """Maintains MT_RS under inserts, deletes, and new ILFDs.
@@ -454,6 +463,11 @@ class IncrementalIdentifier:
         deltas are exactly those the individual updates would produce,
         and unchanged rows keep their settled matches untouched.  This
         is the refresh primitive the virtual view uses per source.
+
+        The swap is atomic: it runs in one store transaction, and if any
+        update is refused (e.g. a new row the ILFD duals contradict) the
+        store rolls back and both sides, the matches and ``version`` are
+        restored to their state on entry before the error propagates.
         """
         state = self._r if side == "r" else self._s if side == "s" else None
         if state is None:
@@ -469,22 +483,27 @@ class IncrementalIdentifier:
             incoming[key_values(Row(values), state.key_attrs)] = values
         delete = self.delete_r if side == "r" else self.delete_s
         insert = self.insert_r if side == "r" else self.insert_s
-        with self._tracer.span(
-            "federation.replace_source", side=side, rows=len(incoming)
-        ) as span:
-            for key in sorted(set(state.raw) - set(incoming)):
-                removed.extend(delete(key).removed)
-            changed = {
-                key
-                for key in set(state.raw) & set(incoming)
-                if dict(state.raw[key]) != incoming[key]
-            }
-            for key in sorted(changed):
-                removed.extend(delete(key).removed)
-            for key in sorted((set(incoming) - set(state.raw)) | changed):
-                added.extend(insert(incoming[key]).added)
-            span.set("matches_added", len(added))
-            span.set("matches_removed", len(removed))
+        entry = (self._r.copy(), self._s.copy(), set(self._matches), self.version)
+        try:
+            with self._store.transaction(), self._tracer.span(
+                "federation.replace_source", side=side, rows=len(incoming)
+            ) as span:
+                for key in sorted(set(state.raw) - set(incoming)):
+                    removed.extend(delete(key).removed)
+                changed = {
+                    key
+                    for key in set(state.raw) & set(incoming)
+                    if dict(state.raw[key]) != incoming[key]
+                }
+                for key in sorted(changed):
+                    removed.extend(delete(key).removed)
+                for key in sorted((set(incoming) - set(state.raw)) | changed):
+                    added.extend(insert(incoming[key]).added)
+                span.set("matches_added", len(added))
+                span.set("matches_removed", len(removed))
+        except BaseException:
+            self._r, self._s, self._matches, self.version = entry
+            raise
         return Delta(added=tuple(sorted(added)), removed=tuple(sorted(removed)))
 
     def insert_r(self, row: Mapping[str, Any]) -> Delta:

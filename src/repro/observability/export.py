@@ -269,8 +269,8 @@ def format_blocking_summary(snapshot: Mapping[str, Any]) -> str:
 
     Renders the ``blocking.*`` / ``executor.*`` counters as one compact
     per-phase block — pairs generated and pruned, the resulting reduction
-    ratio, and the executor's batch accounting — or "" when the run used
-    no blocker.
+    ratio, and the pairs the executor classified — or "" when the run
+    used no blocker.
     """
     counters: Mapping[str, int] = snapshot.get("counters", {}) or {}
     generated = counters.get("blocking.pairs_generated")
@@ -285,12 +285,9 @@ def format_blocking_summary(snapshot: Mapping[str, Any]) -> str:
         f"  pairs pruned      {pruned}",
         f"  reduction ratio   {ratio:.2%}",
     ]
-    batches = counters.get("executor.batches")
-    if batches is not None:
-        lines.append(f"  executor batches  {batches}")
-        evaluated = counters.get("executor.pairs_evaluated")
-        if evaluated is not None:
-            lines.append(f"  pairs evaluated   {evaluated}")
+    evaluated = counters.get("executor.pairs_evaluated")
+    if evaluated is not None:
+        lines.append(f"  pairs evaluated   {evaluated}")
     return "\n".join(lines)
 
 
@@ -339,9 +336,9 @@ def format_resilience_summary(snapshot: Mapping[str, Any]) -> str:
     """Fault-handling aggregates, when a run hit (or injected) failures.
 
     Renders the ``resilience.*`` counters — injected faults, retries and
-    backoff, worker crashes and recovered batches, quarantined pairs,
-    failed commits, degraded sources, and salvages — or "" when the run
-    saw no failures at all (the common, healthy case stays silent).
+    backoff, quarantined pairs, failed commits, degraded sources, and
+    salvages — or "" when the run saw no failures at all (the common,
+    healthy case stays silent).
     """
     counters: Mapping[str, int] = snapshot.get("counters", {}) or {}
     rows = [
@@ -349,8 +346,6 @@ def format_resilience_summary(snapshot: Mapping[str, Any]) -> str:
         ("retries", "resilience.retries"),
         ("give-ups", "resilience.giveups"),
         ("backoff ms", "resilience.backoff_ms"),
-        ("worker crashes", "resilience.worker_crashes"),
-        ("batches recovered", "resilience.batches_recovered"),
         ("pairs quarantined", "resilience.pairs_quarantined"),
         ("commit failures", "resilience.commit_failures"),
         ("source failures", "resilience.source_failures"),

@@ -10,8 +10,8 @@ distributions such as ILFD chain depths or closure fixpoint rounds.
 Zero dependencies, and a :meth:`MetricsRegistry.snapshot` that is plain
 JSON-serialisable data so benchmark results and trace files can embed it
 directly.  Recording is guarded by one :class:`threading.Lock` — the
-thread-backend pair executor and the telemetry ledger's samplers mutate
-a shared registry concurrently, and a counter increment must never be
+serving threads and the telemetry ledger's samplers mutate a shared
+registry concurrently, and a counter increment must never be
 lost to an interleaved read-modify-write.
 """
 
@@ -42,11 +42,8 @@ WELL_KNOWN_METRICS: Dict[str, str] = {
     "blocking.pairs_pruned": "cross-product pairs the blocker never emitted",
     "blocking.reduction_ratio": "per-run fraction of the cross product pruned",
     "blocking.block_pairs": "candidate pairs per block",
-    # parallel pair executor
-    "executor.batches": "candidate batches dispatched to workers",
+    # pair executor
     "executor.pairs_evaluated": "candidate pairs classified by the executor",
-    "executor.batch_pairs": "pairs per dispatched batch",
-    "executor.consistency_conflicts": "pairs classified both matching and distinct",
     # persistence (repro.store)
     "store.writes": "table entries written to the match store",
     "store.removes": "matching-table entries retracted from the store",
@@ -164,7 +161,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Locks do not pickle; worker processes rebuild one on their side.
+        # Locks do not pickle; an unpickled copy builds its own.
         return {"counters": self.counters, "histograms": self.histograms}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:

@@ -4,7 +4,7 @@ The paper's guarantees (soundness, completeness, monotonicity, the
 uniqueness/consistency constraints on MT_RS/NMT_RS) are statements about
 the *final* state of the tables; this subpackage makes sure the system
 still reaches such a state when the machinery under it misbehaves —
-a worker process dying mid-batch, a SQLite commit failing, a federated
+a server process killed mid-request, a SQLite commit failing, a federated
 source refusing to load, a checkpoint file losing its tail.
 
 - :mod:`repro.resilience.faults` — :class:`FaultPlan` /
@@ -13,9 +13,9 @@ source refusing to load, a checkpoint file losing its tail.
   ``--inject-faults`` CLI flag.
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy`: capped
   exponential backoff with seeded jitter and per-operation deadlines,
-  applied to source loading (:mod:`repro.federation.incremental`), batch
-  evaluation (:mod:`repro.blocking.executor`), and transactional commits
-  (:mod:`repro.store`).
+  applied to source loading (:mod:`repro.federation.incremental`), the
+  pair executor's store write (:mod:`repro.blocking.executor`), and
+  transactional commits (:mod:`repro.store`).
 - :mod:`repro.resilience.overload` — :class:`AdmissionController`
   (bounded in-flight queue + per-class token buckets shedding with
   429/503 + ``Retry-After`` *before* work is queued) and
@@ -29,8 +29,7 @@ source refusing to load, a checkpoint file losing its tail.
   faults vs. give-ups).
 
 Recovery behaviours built on these live with the components they guard:
-worker-crash recovery and pair quarantine in
-:class:`~repro.blocking.ParallelPairExecutor`, corruption-safe resume
+pair quarantine in :class:`~repro.blocking.PairExecutor`, corruption-safe resume
 and salvage in :mod:`repro.store.checkpoint`, and graceful source
 degradation in :class:`~repro.federation.view.VirtualIntegratedView`.
 Every failure handled emits ``resilience.*`` metrics through
@@ -72,7 +71,6 @@ from repro.resilience.faults import (
     SERVING_SITES,
     SITE_CHECKPOINT,
     SITE_ENTITY_PERSIST,
-    SITE_EXECUTOR_BATCH,
     SITE_SERVING_INVALIDATE,
     SITE_SERVING_REQUEST,
     SITE_SOURCE_LOAD_R,
@@ -128,7 +126,6 @@ __all__ = [
     "ServerProcess",
     "SITE_CHECKPOINT",
     "SITE_ENTITY_PERSIST",
-    "SITE_EXECUTOR_BATCH",
     "SITE_SERVING_INVALIDATE",
     "SITE_SERVING_REQUEST",
     "SITE_SOURCE_LOAD_R",
@@ -147,8 +144,6 @@ for _name, _description in (
     ("resilience.retries", "operation attempts retried after a failure"),
     ("resilience.giveups", "operations abandoned after exhausting retries"),
     ("resilience.backoff_ms", "milliseconds of scheduled retry backoff"),
-    ("resilience.worker_crashes", "worker/pool failures observed by the executor"),
-    ("resilience.batches_recovered", "lost batches re-executed to completion"),
     ("resilience.pairs_quarantined", "poisoned pairs isolated and reported"),
     ("resilience.commit_failures", "transactional commits that failed and rolled back"),
     ("resilience.source_failures", "federated source loads/refreshes that failed"),

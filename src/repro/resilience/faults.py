@@ -4,7 +4,7 @@ A :class:`FaultPlan` names, per instrumented *site*, which invocations
 fail and how.  Plans are pure data — no wall-clock, no global state —
 so a plan plus a workload is a reproducible chaos experiment: the
 ``k``-th time the pipeline passes a site, the same fault fires (or does
-not), regardless of machine speed or worker scheduling.
+not), regardless of machine speed or thread scheduling.
 
 Sites are dotted strings.  The ones built into the pipeline:
 
@@ -12,8 +12,6 @@ Sites are dotted strings.  The ones built into the pipeline:
 site                                      instrumented operation
 ========================================  =====================================
 ``federation.load_source.r`` / ``.s``     one attempt to load/refresh a source
-``executor.batch``                        one batch result collected from a
-                                          worker (a crash here loses the batch)
 ``store.commit``                          one transactional commit
 ``store.checkpoint``                      one checkpoint snapshot write
 ``serving.request``                       one serving operation (a resolve
@@ -26,7 +24,7 @@ site                                      instrumented operation
 Plans come from three constructors:
 
 - :meth:`FaultPlan.parse` — the CLI's ``--inject-faults`` syntax, e.g.
-  ``"executor.batch:crash@0;store.commit:error@1..2"``,
+  ``"store.checkpoint:crash@0;store.commit:error@1..2"``,
 - :meth:`FaultPlan.random` — a seeded random schedule over given sites
   (the chaos property tests draw these),
 - :meth:`FaultPlan.none` — the empty plan.
@@ -57,7 +55,6 @@ from repro.resilience.errors import (
 __all__ = [
     "SITE_SOURCE_LOAD_R",
     "SITE_SOURCE_LOAD_S",
-    "SITE_EXECUTOR_BATCH",
     "SITE_STORE_COMMIT",
     "SITE_CHECKPOINT",
     "SITE_SERVING_REQUEST",
@@ -75,7 +72,6 @@ __all__ = [
 
 SITE_SOURCE_LOAD_R = "federation.load_source.r"
 SITE_SOURCE_LOAD_S = "federation.load_source.s"
-SITE_EXECUTOR_BATCH = "executor.batch"
 SITE_STORE_COMMIT = "store.commit"
 SITE_CHECKPOINT = "store.checkpoint"
 SITE_SERVING_REQUEST = "serving.request"
@@ -85,7 +81,6 @@ SITE_ENTITY_PERSIST = "entities.persist"
 KNOWN_SITES = (
     SITE_SOURCE_LOAD_R,
     SITE_SOURCE_LOAD_S,
-    SITE_EXECUTOR_BATCH,
     SITE_STORE_COMMIT,
     SITE_CHECKPOINT,
     SITE_SERVING_REQUEST,
@@ -160,8 +155,8 @@ class FaultPlan:
 
         Examples::
 
-            executor.batch:crash@0
-            store.commit:error@1;executor.batch:crash@0..2
+            store.commit:crash@0
+            store.commit:error@1;store.checkpoint:crash@0..2
             federation.load_source.s:error@0..1
 
         ``kind`` defaults to ``error`` when omitted

@@ -9,9 +9,9 @@ reproducible.  The sleep and clock functions are injectable; tests pass
 ``sleep=None`` and retries cost no wall-clock at all.
 
 The policy is applied at three pipeline sites (see ``docs/RESILIENCE.md``):
-source loading in :mod:`repro.federation.incremental`, batch evaluation
-in :mod:`repro.blocking.executor`, and transactional commits in
-:mod:`repro.store`.  Every retry and give-up is counted under
+source loading in :mod:`repro.federation.incremental`, the pair
+executor's store write in :mod:`repro.blocking.executor`, and
+transactional commits in :mod:`repro.store`.  Every retry and give-up is counted under
 ``resilience.*`` metrics.
 """
 

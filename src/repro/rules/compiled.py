@@ -101,8 +101,7 @@ class CompiledRules:
     """Distinctness rules split once into e1, e2 and cross parts.
 
     ``len()`` and ``rules`` give the source rules in order; rule *k* is
-    bit ``1 << k`` of every mask.  Instances pickle (process workers
-    receive one through the pool initializer).
+    bit ``1 << k`` of every mask.
     """
 
     def __init__(self, rules: Sequence[DistinctnessRule]) -> None:

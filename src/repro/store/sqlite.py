@@ -11,7 +11,7 @@ bit-identically.
 The connection runs in autocommit (``isolation_level=None``); writes are
 grouped explicitly by :meth:`SqliteStore.transaction`, which issues
 ``BEGIN IMMEDIATE``/``COMMIT``/``ROLLBACK`` with nesting support — this
-is what makes the blocking executor's batch merge all-or-nothing.
+is what makes the pair executor's store write all-or-nothing.
 
 File-backed stores run in **WAL mode** (``journal_mode=WAL``,
 ``synchronous=NORMAL``): readers on separate connections see a

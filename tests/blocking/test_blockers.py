@@ -8,12 +8,9 @@ from repro.blocking import (
     BlockingError,
     CrossProductBlocker,
     ExtendedKeyHashBlocker,
-    IlfdConditionBlocker,
-    SortedNeighborhoodBlocker,
     UnknownBlockerError,
     make_blocker,
 )
-from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.relational.nulls import NULL
 
 R_ROWS = [
@@ -32,11 +29,11 @@ CONTEXT = BlockingContext.of(["name", "cuisine"])
 
 class TestRegistry:
     def test_all_strategies_registered(self):
-        assert set(BLOCKERS) == {"cross", "hash", "ilfd", "snm"}
+        assert set(BLOCKERS) == {"cross", "hash"}
 
     def test_make_blocker(self):
         assert isinstance(make_blocker("hash"), ExtendedKeyHashBlocker)
-        assert isinstance(make_blocker("snm", window=3), SortedNeighborhoodBlocker)
+        assert isinstance(make_blocker("cross"), CrossProductBlocker)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(UnknownBlockerError):
@@ -95,64 +92,3 @@ class TestExtendedKeyHash:
         )
         assert candidates.count == 0
 
-
-class TestIlfdCondition:
-    def test_superset_of_hash_backbone(self):
-        hash_pairs = set(
-            ExtendedKeyHashBlocker().candidate_pairs(R_ROWS, S_ROWS, CONTEXT)
-        )
-        ilfd_pairs = set(
-            IlfdConditionBlocker().candidate_pairs(R_ROWS, S_ROWS, CONTEXT)
-        )
-        assert ilfd_pairs >= hash_pairs
-
-    def test_antecedent_bucket_pairs(self):
-        context = BlockingContext.of(
-            ["name", "cuisine"],
-            ILFDSet([ILFD({"name": "Diner"}, {"cuisine": "Chinese"})]),
-        )
-        pairs = set(
-            IlfdConditionBlocker().candidate_pairs(R_ROWS, S_ROWS, context)
-        )
-        # Diner rows co-satisfy the antecedent: r2 × {s1, s2}.
-        assert {(2, 1), (2, 2)} <= pairs
-        assert (0, 3) not in pairs
-
-
-class TestSortedNeighborhood:
-    def test_window_validation(self):
-        with pytest.raises(BlockingError):
-            SortedNeighborhoodBlocker(window=1)
-
-    def test_superset_of_hash_backbone(self):
-        hash_pairs = set(
-            ExtendedKeyHashBlocker().candidate_pairs(R_ROWS, S_ROWS, CONTEXT)
-        )
-        for window in (2, 3, 10):
-            snm_pairs = set(
-                SortedNeighborhoodBlocker(window=window).candidate_pairs(
-                    R_ROWS, S_ROWS, CONTEXT
-                )
-            )
-            assert snm_pairs >= hash_pairs
-
-    def test_window_pairs_neighbours(self):
-        # With a huge window everything cross-side is a candidate.
-        candidates = SortedNeighborhoodBlocker(window=100).candidate_pairs(
-            R_ROWS, S_ROWS, CONTEXT
-        )
-        assert candidates.count == 12
-
-    def test_custom_sort_attributes(self):
-        candidates = SortedNeighborhoodBlocker(
-            window=2, sort_attributes=["name"]
-        ).candidate_pairs(R_ROWS, S_ROWS, BlockingContext.of(["name", "cuisine"]))
-        assert set(candidates) >= set(
-            ExtendedKeyHashBlocker().candidate_pairs(R_ROWS, S_ROWS, CONTEXT)
-        )
-
-    def test_needs_some_attributes(self):
-        with pytest.raises(BlockingError):
-            SortedNeighborhoodBlocker().candidate_pairs(
-                R_ROWS, S_ROWS, BlockingContext.of([])
-            )

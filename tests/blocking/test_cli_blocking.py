@@ -1,4 +1,4 @@
-"""CLI --blocker/--workers flags and the stats blocking section."""
+"""CLI --blocker flag and the stats blocking section."""
 
 import pytest
 
@@ -42,7 +42,7 @@ def _identify(r_path, s_path, *extra):
 
 
 class TestBlockerFlag:
-    @pytest.mark.parametrize("blocker", ["cross", "hash", "ilfd", "snm"])
+    @pytest.mark.parametrize("blocker", ["cross", "hash"])
     def test_same_output_as_legacy(self, demo_csvs, capsys, blocker):
         r_path, s_path = demo_csvs
         legacy_status = _identify(r_path, s_path)
@@ -57,20 +57,15 @@ class TestBlockerFlag:
         with pytest.raises(SystemExit):
             _identify(r_path, s_path, "--blocker", "bogus")
 
-    def test_workers_must_be_positive(self, demo_csvs):
-        r_path, s_path = demo_csvs
-        assert _identify(r_path, s_path, "--workers", "0") == 2
-
     def test_metrics_report_blocking_counters(self, demo_csvs, capsys):
         r_path, s_path = demo_csvs
         status = _identify(
-            r_path, s_path, "--blocker", "hash", "--workers", "2",
-            "--metrics", "--quiet",
+            r_path, s_path, "--blocker", "hash", "--metrics", "--quiet",
         )
         out = capsys.readouterr().out
         assert status == 0
         assert "blocking.pairs_generated" in out
-        assert "executor.batches" in out
+        assert "executor.pairs_evaluated" in out
 
     def test_stats_renders_blocking_section(self, demo_csvs, tmp_path, capsys):
         r_path, s_path = demo_csvs
@@ -90,7 +85,7 @@ class TestObservabilityRegistry:
         for name in (
             "blocking.pairs_generated",
             "blocking.pairs_pruned",
-            "executor.batches",
+            "executor.pairs_evaluated",
         ):
             assert MetricsRegistry.description(name)
             assert name in WELL_KNOWN_METRICS

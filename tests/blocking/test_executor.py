@@ -1,18 +1,8 @@
-"""Tests for ParallelPairExecutor: backends, merging, consistency."""
+"""Tests for PairExecutor: the serial pair kernel."""
 
-import pytest
-
-from repro.blocking import (
-    BlockingContext,
-    BlockingError,
-    CrossProductBlocker,
-    MergeConsistencyError,
-    ParallelPairExecutor,
-)
+from repro.blocking import BlockingContext, CrossProductBlocker, PairExecutor
 from repro.core.extended_key import ExtendedKey
 from repro.observability import Tracer
-from repro.rules.distinctness import DistinctnessRule
-from repro.rules.predicates import equality_predicate
 
 KEY = ExtendedKey(["name", "cuisine"])
 IDENTITY = (KEY.identity_rule(),)
@@ -33,83 +23,25 @@ def _candidates():
 
 class TestBackends:
     def test_serial_matches_expected(self):
-        evaluation = ParallelPairExecutor(1).evaluate(
+        evaluation = PairExecutor().evaluate(
             _candidates(), R_ROWS, S_ROWS, IDENTITY
         )
         assert evaluation.matches == [(10, 10)]
-        assert evaluation.backend == "serial"
         assert evaluation.pairs_evaluated == 121
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_identical(self, backend):
-        serial = ParallelPairExecutor(1).evaluate(
-            _candidates(), R_ROWS, S_ROWS, IDENTITY
-        )
-        parallel = ParallelPairExecutor(4, backend=backend).evaluate(
-            _candidates(), R_ROWS, S_ROWS, IDENTITY
-        )
-        assert parallel.matches == serial.matches
-        assert parallel.distinct == serial.distinct
-        assert parallel.backend == backend
-        assert parallel.batches > 1
-
-    def test_workers_one_forces_serial_backend(self):
-        executor = ParallelPairExecutor(1, backend="process")
-        assert executor.backend == "serial"
-
-    def test_explicit_batch_size(self):
-        evaluation = ParallelPairExecutor(
-            2, backend="thread", batch_size=7
-        ).evaluate(_candidates(), R_ROWS, S_ROWS, IDENTITY)
-        assert evaluation.batches == -(-121 // 7)
-        assert evaluation.matches == [(10, 10)]
-
     def test_unknown_counts_residue(self):
-        evaluation = ParallelPairExecutor(1).evaluate(
+        evaluation = PairExecutor().evaluate(
             _candidates(), R_ROWS, S_ROWS, IDENTITY
         )
         assert evaluation.unknown == 121 - 1
 
 
-class TestValidation:
-    def test_zero_workers_rejected(self):
-        with pytest.raises(BlockingError):
-            ParallelPairExecutor(0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(BlockingError):
-            ParallelPairExecutor(2, backend="gpu")
-
-
-class TestConsistency:
-    # A distinctness rule firing on key equality conflicts with the
-    # identity rule on every matching pair.
-    CONFLICTING = (
-        DistinctnessRule(
-            [equality_predicate("name"), equality_predicate("cuisine")],
-            name="conflicts-with-identity",
-        ),
-    )
-
-    def test_merge_conflict_raises(self):
-        with pytest.raises(MergeConsistencyError):
-            ParallelPairExecutor(1).evaluate(
-                _candidates(), R_ROWS, S_ROWS, IDENTITY, self.CONFLICTING
-            )
-
-    def test_enforcement_can_be_disabled(self):
-        evaluation = ParallelPairExecutor(
-            1, enforce_consistency=False
-        ).evaluate(_candidates(), R_ROWS, S_ROWS, IDENTITY, self.CONFLICTING)
-        assert evaluation.consistency_overlap() == [(10, 10)]
-
-
 class TestMetrics:
     def test_executor_counters_recorded(self):
         tracer = Tracer()
-        ParallelPairExecutor(1, tracer=tracer).evaluate(
+        PairExecutor(tracer=tracer).evaluate(
             _candidates(), R_ROWS, S_ROWS, IDENTITY
         )
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["executor.pairs_evaluated"] == 121
-        assert counters["executor.batches"] == 1
+        assert counters["rules.identity_evaluations"] == 121

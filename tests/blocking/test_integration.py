@@ -1,16 +1,8 @@
-"""Blocking wired through the identifier and baselines."""
+"""Blocking wired through the identifier."""
 
 import pytest
 
-from repro.baselines.probabilistic_attr import ProbabilisticAttributeMatcher
-from repro.baselines.probabilistic_key import ProbabilisticKeyMatcher
-from repro.blocking import (
-    CrossProductBlocker,
-    ExtendedKeyHashBlocker,
-    IlfdConditionBlocker,
-    ParallelPairExecutor,
-    SortedNeighborhoodBlocker,
-)
+from repro.blocking import CrossProductBlocker, ExtendedKeyHashBlocker, PairExecutor
 from repro.core.errors import ConsistencyError
 from repro.core.identifier import EntityIdentifier
 from repro.observability import Tracer
@@ -20,12 +12,7 @@ from repro.workloads import RestaurantWorkloadSpec, restaurant_workload
 
 WORKLOAD = restaurant_workload(RestaurantWorkloadSpec(n_entities=50, seed=11))
 
-ALL_BLOCKERS = [
-    CrossProductBlocker(),
-    ExtendedKeyHashBlocker(),
-    IlfdConditionBlocker(),
-    SortedNeighborhoodBlocker(window=4),
-]
+ALL_BLOCKERS = [CrossProductBlocker(), ExtendedKeyHashBlocker()]
 
 
 def _identifier(**kwargs):
@@ -56,30 +43,16 @@ class TestIdentifierEquivalence:
         assert blocked == self.DEFAULT_NMT
 
     @pytest.mark.parametrize(
-        "blocker",
-        [ExtendedKeyHashBlocker(), IlfdConditionBlocker(),
-         SortedNeighborhoodBlocker(window=4)],
-        ids=lambda b: b.name,
+        "blocker", [ExtendedKeyHashBlocker()], ids=lambda b: b.name
     )
     def test_pruning_blockers_restrict_negative_table(self, blocker):
         blocked = _identifier(blocker=blocker).negative_matching_table().pairs()
         assert blocked <= self.DEFAULT_NMT
 
-    def test_workers_without_blocker_stays_exact(self):
-        identifier = _identifier(executor=ParallelPairExecutor(2))
-        assert identifier.blocker is not None  # defaults to cross product
-        assert identifier.matching_table().pairs() == self.DEFAULT_MT
-        assert identifier.negative_matching_table().pairs() == self.DEFAULT_NMT
-
-    def test_process_workers_with_hash_blocker(self):
-        identifier = _identifier(
-            blocker=ExtendedKeyHashBlocker(), executor=ParallelPairExecutor(2)
-        )
-        assert identifier.matching_table().pairs() == self.DEFAULT_MT
-
     def test_explicit_executor(self):
-        executor = ParallelPairExecutor(2, backend="thread")
+        executor = PairExecutor()
         identifier = _identifier(blocker=ExtendedKeyHashBlocker(), executor=executor)
+        assert identifier.executor is executor
         assert identifier.matching_table().pairs() == self.DEFAULT_MT
 
     def test_blocking_metrics_flow_to_tracer(self):
@@ -109,27 +82,3 @@ class TestIdentifierEquivalence:
         with pytest.raises(ConsistencyError):
             identifier.matching_table()
 
-
-class TestBaselines:
-    @pytest.mark.parametrize(
-        "matcher_cls", [ProbabilisticAttributeMatcher, ProbabilisticKeyMatcher]
-    )
-    def test_blocked_results_subset_of_legacy(self, matcher_cls):
-        legacy = matcher_cls().run(WORKLOAD.r, WORKLOAD.s).pair_set()
-        blocked = (
-            matcher_cls()
-            .with_blocker(SortedNeighborhoodBlocker(window=5))
-            .run(WORKLOAD.r, WORKLOAD.s)
-            .pair_set()
-        )
-        assert blocked <= legacy
-
-    def test_blocker_metrics_recorded_under_run(self):
-        tracer = Tracer()
-        (
-            ProbabilisticKeyMatcher()
-            .with_blocker(SortedNeighborhoodBlocker(window=5))
-            .run(WORKLOAD.r, WORKLOAD.s, tracer=tracer)
-        )
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters["blocking.pairs_generated"] > 0

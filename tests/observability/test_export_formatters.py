@@ -30,7 +30,6 @@ class TestBlockingSummary:
             "counters": {
                 "blocking.pairs_generated": 25,
                 "blocking.pairs_pruned": 75,
-                "executor.batches": 4,
                 "executor.pairs_evaluated": 25,
             }
         }
@@ -38,14 +37,13 @@ class TestBlockingSummary:
         assert "pairs generated   25" in text
         assert "pairs pruned      75" in text
         assert "reduction ratio   75.00%" in text
-        assert "executor batches  4" in text
         assert "pairs evaluated   25" in text
 
     def test_partial_without_executor(self):
         snapshot = {"counters": {"blocking.pairs_generated": 10}}
         text = format_blocking_summary(snapshot)
         assert "pairs generated   10" in text
-        assert "executor" not in text
+        assert "pairs evaluated" not in text
 
     def test_zero_generated_still_renders(self):
         snapshot = {
@@ -113,20 +111,20 @@ class TestResilienceSummary:
         snapshot = {
             "counters": {
                 "resilience.retries": 3,
-                "resilience.worker_crashes": 0,
+                "resilience.commit_failures": 0,
             }
         }
         text = format_resilience_summary(snapshot)
         assert "retries" in text
-        assert "worker crashes" not in text
+        assert "commit failures" not in text
 
     def test_full_snapshot(self):
         snapshot = {
             "counters": {
                 "resilience.faults_injected": 2,
                 "resilience.retries": 3,
-                "resilience.worker_crashes": 1,
-                "resilience.batches_recovered": 1,
+                "resilience.pairs_quarantined": 1,
+                "resilience.commit_failures": 1,
                 "resilience.salvages": 1,
             }
         }
@@ -135,8 +133,8 @@ class TestResilienceSummary:
         for label in (
             "faults injected",
             "retries",
-            "worker crashes",
-            "batches recovered",
+            "pairs quarantined",
+            "commit failures",
             "salvages",
         ):
             assert label in text

@@ -1,11 +1,10 @@
 """Property-based recall guarantees of the blocking subsystem.
 
-On generated restaurant workloads, for every blocker:
+On generated restaurant workloads, for the hash blocker:
 
 - **superset**: the candidate set contains every true match pair the
   exhaustive :class:`CrossProductBlocker` evaluation declares matching,
-- hence the blocked matching table equals the cross-product one,
-- and the executor classifies identically at any worker/batch split.
+- hence the blocked matching table equals the cross-product one.
 """
 
 from hypothesis import given, settings
@@ -15,9 +14,7 @@ from repro.blocking import (
     BlockingContext,
     CrossProductBlocker,
     ExtendedKeyHashBlocker,
-    IlfdConditionBlocker,
-    ParallelPairExecutor,
-    SortedNeighborhoodBlocker,
+    PairExecutor,
 )
 from repro.core.identifier import EntityIdentifier
 from repro.workloads import RestaurantWorkloadSpec, restaurant_workload
@@ -33,11 +30,7 @@ specs = st.builds(
     seed=st.integers(min_value=0, max_value=10_000),
 )
 
-BLOCKER_FACTORIES = [
-    ExtendedKeyHashBlocker,
-    IlfdConditionBlocker,
-    lambda: SortedNeighborhoodBlocker(window=3),
-]
+BLOCKER_FACTORIES = [ExtendedKeyHashBlocker]
 
 
 def _identifier(workload, **kwargs):
@@ -56,11 +49,9 @@ def _true_match_pairs(workload):
     identifier = _identifier(workload)
     extended_r, extended_s = identifier.extended_relations()
     r_rows, s_rows = list(extended_r), list(extended_s)
-    context = BlockingContext.of(
-        identifier.extended_key.attributes, identifier.ilfds
-    )
+    context = BlockingContext.of(identifier.extended_key.attributes)
     candidates = CrossProductBlocker().block(r_rows, s_rows, context)
-    evaluation = ParallelPairExecutor(1).evaluate(
+    evaluation = PairExecutor().evaluate(
         candidates, r_rows, s_rows, identifier.rules.identity_rules
     )
     return r_rows, s_rows, context, set(evaluation.matches)
@@ -87,19 +78,3 @@ def test_blocked_matching_table_equals_cross_product(spec):
         blocked = _identifier(workload, blocker=factory()).matching_table().pairs()
         assert blocked == legacy
 
-
-@settings(max_examples=10, deadline=None)
-@given(
-    spec=specs,
-    workers=st.integers(min_value=2, max_value=4),
-    batch_size=st.integers(min_value=1, max_value=64),
-)
-def test_executor_split_invariant(spec, workers, batch_size):
-    workload = restaurant_workload(spec)
-    r_rows, s_rows, context, truth = _true_match_pairs(workload)
-    identifier = _identifier(workload)
-    candidates = ExtendedKeyHashBlocker().block(r_rows, s_rows, context)
-    split = ParallelPairExecutor(
-        workers, backend="thread", batch_size=batch_size
-    ).evaluate(candidates, r_rows, s_rows, identifier.rules.identity_rules)
-    assert set(split.matches) == truth

@@ -12,16 +12,16 @@ Both must agree exactly with :meth:`Predicate.evaluate` /
     absent attributes, mixed types whose comparison raises ``TypeError``
     and unhashable values;
 (b) the executor's ``distinct`` list, its order and ``distinct_rules``
-    ≡ a nested interpreted loop over the same candidates, for the serial
-    and two-thread backends under every blocker, with ILFD duals mixed
-    with unanchored and cross-predicate rules.
+    ≡ a nested interpreted loop over the same candidates, under both
+    blockers, with ILFD duals mixed with unanchored and cross-predicate
+    rules.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import BlockingContext, ParallelPairExecutor, make_blocker
-from repro.ilfd.ilfd import ILFD, ILFDSet
+from repro.blocking import BlockingContext, PairExecutor, make_blocker
+from repro.ilfd.ilfd import ILFD
 from repro.relational.nulls import NULL, Maybe, three_valued_and
 from repro.relational.row import Row
 from repro.rules.compiled import CompiledRules
@@ -157,16 +157,15 @@ def test_compiled_rules_equal_interpreter(rules, row1, row2):
     order=st.randoms(use_true_random=False),
     r_rows=st.lists(rows(st.sampled_from(HASHABLE), ("a",)).map(Row), max_size=7),
     s_rows=st.lists(rows(st.sampled_from(HASHABLE), ("a",)).map(Row), max_size=7),
-    blocker=st.sampled_from(["cross", "hash", "ilfd", "snm"]),
-    backend=st.sampled_from([(1, "serial"), (2, "thread")]),
+    blocker=st.sampled_from(["cross", "hash"]),
 )
 def test_executor_equals_interpreted_loop(
-    ilfd_list, extra, order, r_rows, s_rows, blocker, backend
+    ilfd_list, extra, order, r_rows, s_rows, blocker
 ):
     rules = [rule for ilfd in ilfd_list for rule in ilfd_to_distinctness_rules(ilfd)]
     rules += extra
     order.shuffle(rules)
-    context = BlockingContext.of(("a",), ILFDSet(ilfd_list))
+    context = BlockingContext.of(("a",))
     candidates = make_blocker(blocker).candidate_pairs(r_rows, s_rows, context)
     expected = [
         ((i, j), first)
@@ -174,10 +173,7 @@ def test_executor_equals_interpreted_loop(
         for first in [_interpreted_first(rules, r_rows[i], s_rows[j])]
         if first >= 0
     ]
-    workers, name = backend
-    evaluation = ParallelPairExecutor(workers, backend=name, batch_size=3).evaluate(
-        candidates, r_rows, s_rows, (), rules
-    )
+    evaluation = PairExecutor().evaluate(candidates, r_rows, s_rows, (), rules)
     assert evaluation.distinct == [pair for pair, _ in expected]
     assert evaluation.distinct_rules == [first for _, first in expected]
     assert not evaluation.quarantined

@@ -1,7 +1,7 @@
 """Chaos properties: recovery from any seeded fault schedule is exact.
 
 The headline guarantee of ``repro.resilience``: for *any* deterministic
-fault schedule the injector can draw — worker crashes, commit failures,
+fault schedule the injector can draw — commit failures and crashes,
 source-load errors — a run with enough retry budget produces a matching
 table **bit-identical** to the fault-free run, on both store backends.
 A second property drives the corruption path: a checkpoint truncated at
@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.blocking import BlockingContext, CrossProductBlocker, ParallelPairExecutor
+from repro.blocking import BlockingContext, CrossProductBlocker, PairExecutor
 from repro.core.extended_key import ExtendedKey
 from repro.core.matching_table import key_values
 from repro.federation import IncrementalIdentifier
 from repro.relational.row import Row
 from repro.resilience import (
-    SITE_EXECUTOR_BATCH,
     SITE_SOURCE_LOAD_R,
     SITE_SOURCE_LOAD_S,
     SITE_STORE_COMMIT,
@@ -96,24 +95,13 @@ def _baseline_session(store=None):
 def test_executor_and_commit_chaos_is_bit_identical(seed):
     baseline_store = MemoryStore()
     baseline_store.set_key_attributes(KEY.attributes, KEY.attributes)
-    baseline = _evaluate(ParallelPairExecutor(1), baseline_store)
+    baseline = _evaluate(PairExecutor(), baseline_store)
 
-    plan = FaultPlan.random(
-        seed, sites=(SITE_EXECUTOR_BATCH, SITE_STORE_COMMIT), **CHAOS
-    )
+    plan = FaultPlan.random(seed, sites=(SITE_STORE_COMMIT,), **CHAOS)
     injector = FaultInjector(plan)
     store = MemoryStore(fault_injector=injector)
     store.set_key_attributes(KEY.attributes, KEY.attributes)
-    chaotic = _evaluate(
-        ParallelPairExecutor(
-            3,
-            backend="thread",
-            batch_size=5,
-            retry_policy=RETRY,
-            fault_injector=injector,
-        ),
-        store,
-    )
+    chaotic = _evaluate(PairExecutor(retry_policy=RETRY), store)
     assert chaotic.matches == baseline.matches
     assert chaotic.distinct == baseline.distinct
     assert chaotic.match_rules == baseline.match_rules

@@ -13,6 +13,11 @@ IDENTIFY_ARGS = [
     "--ilfd", "speciality=Mughalai -> cuisine=Indian",
 ]
 
+# A memory store commits the matching table first (store.commit #0) and
+# then the negative table (#1), the pair executor's store write, which
+# --retries retries after a failed commit.
+COMMIT_FAULT = ["--store", "memory", "--inject-faults", "store.commit:crash@1"]
+
 
 @pytest.fixture
 def example_csvs(tmp_path):
@@ -36,9 +41,7 @@ class TestIdentifyFlags:
 
         status = main(
             ["identify", str(r_path), str(s_path), *IDENTIFY_ARGS,
-             "--workers", "2",
-             "--retries", "3", "--retry-delay", "0",
-             "--inject-faults", "executor.batch:crash@0"]
+             "--retries", "3", "--retry-delay", "0", *COMMIT_FAULT]
         )
         assert status == 0
         out = capsys.readouterr().out
@@ -51,14 +54,12 @@ class TestIdentifyFlags:
         r_path, s_path = example_csvs
         status = main(
             ["identify", str(r_path), str(s_path), *IDENTIFY_ARGS,
-             "--workers", "2",
-             "--retries", "3", "--metrics", "--quiet",
-             "--inject-faults", "executor.batch:crash@0"]
+             "--retries", "3", "--metrics", "--quiet", *COMMIT_FAULT]
         )
         assert status == 0
         out = capsys.readouterr().out
-        assert "resilience.worker_crashes" in out
-        assert "resilience.batches_recovered" in out
+        assert "resilience.commit_failures" in out
+        assert "resilience.retries" in out
 
     def test_malformed_plan_is_a_usage_error(self, example_csvs, capsys):
         r_path, s_path = example_csvs
@@ -99,8 +100,7 @@ class TestStatsSection:
         trace = tmp_path / "run.trace"
         status = main(
             ["identify", str(r_path), str(s_path), *IDENTIFY_ARGS,
-             "--workers", "2", "--retries", "3",
-             "--inject-faults", "executor.batch:crash@0",
+             "--retries", "3", *COMMIT_FAULT,
              "--trace", str(trace), "--quiet"]
         )
         assert status == 0
@@ -108,7 +108,7 @@ class TestStatsSection:
         assert main(["stats", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "resilience (fault handling):" in out
-        assert "worker crashes" in out
+        assert "commit failures" in out
 
 
 class TestSalvageFlow:

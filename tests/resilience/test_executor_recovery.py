@@ -1,14 +1,13 @@
-"""Worker-crash recovery and pair quarantine in ParallelPairExecutor."""
+"""Pair quarantine and store-write retry in PairExecutor."""
 
 import pytest
 
-from repro.blocking import BlockingContext, CrossProductBlocker, ParallelPairExecutor
+from repro.blocking import BlockingContext, CrossProductBlocker, PairExecutor
 from repro.core.extended_key import ExtendedKey
 from repro.core.matching_table import key_values
 from repro.observability import Tracer
 from repro.relational.row import Row
 from repro.resilience import (
-    SITE_EXECUTOR_BATCH,
     SITE_STORE_COMMIT,
     FaultInjector,
     FaultPlan,
@@ -36,12 +35,6 @@ def _candidates():
     )
 
 
-def _serial():
-    return ParallelPairExecutor(1).evaluate(
-        _candidates(), R_ROWS, S_ROWS, IDENTITY
-    )
-
-
 class _PoisonRule(IdentityRule):
     """Raises on one specific pair; classifies every other pair normally."""
 
@@ -57,64 +50,10 @@ class _PoisonRule(IdentityRule):
         return super().applies(row1, row2)
 
 
-class TestCrashRecovery:
-    def test_injected_crash_recovered_bit_identical(self):
-        serial = _serial()
-        tracer = Tracer()
-        injector = FaultInjector(
-            FaultPlan.parse(f"{SITE_EXECUTOR_BATCH}:crash@0"), tracer=tracer
-        )
-        evaluation = ParallelPairExecutor(
-            2,
-            backend="thread",
-            batch_size=20,
-            tracer=tracer,
-            retry_policy=RetryPolicy.fast(3),
-            fault_injector=injector,
-        ).evaluate(_candidates(), R_ROWS, S_ROWS, IDENTITY)
-        assert evaluation.matches == serial.matches
-        assert evaluation.distinct == serial.distinct
-        assert evaluation.match_rules == serial.match_rules
-        assert evaluation.worker_crashes >= 1
-        assert evaluation.batches_recovered >= 1
-        assert not evaluation.quarantined
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters["resilience.worker_crashes"] >= 1
-        assert counters["resilience.batches_recovered"] >= 1
-
-    def test_recovery_needs_no_retry_policy(self):
-        """Without a policy there is one pool attempt, but the in-parent
-        serial fallback still completes every lost batch."""
-        serial = _serial()
-        injector = FaultInjector(
-            FaultPlan.parse(f"{SITE_EXECUTOR_BATCH}:crash@0..5")
-        )
-        evaluation = ParallelPairExecutor(
-            2, backend="thread", batch_size=25, fault_injector=injector
-        ).evaluate(_candidates(), R_ROWS, S_ROWS, IDENTITY)
-        assert evaluation.matches == serial.matches
-        assert evaluation.distinct == serial.distinct
-        assert evaluation.batches_recovered >= 1
-
-    def test_every_batch_lost_still_recovers(self):
-        serial = _serial()
-        injector = FaultInjector(
-            FaultPlan.parse(f"{SITE_EXECUTOR_BATCH}:crash@0..99")
-        )
-        evaluation = ParallelPairExecutor(
-            3,
-            backend="thread",
-            batch_size=10,
-            retry_policy=RetryPolicy.fast(2),
-            fault_injector=injector,
-        ).evaluate(_candidates(), R_ROWS, S_ROWS, IDENTITY)
-        assert evaluation.matches == serial.matches
-        assert evaluation.batches_recovered == evaluation.batches
-
-
 class TestQuarantine:
     def test_poisoned_pair_is_isolated_serially(self):
-        evaluation = ParallelPairExecutor(1).evaluate(
+        tracer = Tracer()
+        evaluation = PairExecutor(tracer=tracer).evaluate(
             _candidates(), R_ROWS, S_ROWS, (_PoisonRule(),)
         )
         assert len(evaluation.quarantined) == 1
@@ -125,14 +64,6 @@ class TestQuarantine:
         # Everything else still classified: the identity pair survives.
         assert evaluation.matches == [(10, 10)]
         assert evaluation.unknown == 121 - 1 - 1
-
-    def test_poisoned_pair_is_isolated_in_parallel(self):
-        tracer = Tracer()
-        evaluation = ParallelPairExecutor(
-            2, backend="thread", batch_size=30, tracer=tracer
-        ).evaluate(_candidates(), R_ROWS, S_ROWS, (_PoisonRule(),))
-        assert [pair for pair, _ in evaluation.quarantined] == [(3, 5)]
-        assert evaluation.matches == [(10, 10)]
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["resilience.pairs_quarantined"] == 1
 
@@ -145,9 +76,7 @@ class TestStoreWriteRetry:
         injector = FaultInjector(FaultPlan.parse(f"{SITE_STORE_COMMIT}@0"))
         store = MemoryStore(fault_injector=injector)
         store.set_key_attributes(KEY.attributes, KEY.attributes)
-        ParallelPairExecutor(
-            1, retry_policy=RetryPolicy.fast(3)
-        ).evaluate(
+        PairExecutor(retry_policy=RetryPolicy.fast(3)).evaluate(
             _candidates(),
             R_ROWS,
             S_ROWS,
@@ -167,7 +96,7 @@ class TestStoreWriteRetry:
         )
         store.set_key_attributes(KEY.attributes, KEY.attributes)
         with pytest.raises(InjectedFault):
-            ParallelPairExecutor(1).evaluate(
+            PairExecutor().evaluate(
                 _candidates(),
                 R_ROWS,
                 S_ROWS,

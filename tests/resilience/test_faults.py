@@ -7,7 +7,6 @@ from repro.resilience import (
     FAULT_KINDS,
     KNOWN_SITES,
     NO_OP_INJECTOR,
-    SITE_EXECUTOR_BATCH,
     SITE_STORE_COMMIT,
     FaultInjector,
     FaultPlan,
@@ -43,8 +42,8 @@ class TestFaultSpec:
 
 class TestParse:
     def test_single_spec(self):
-        plan = FaultPlan.parse("executor.batch:crash@0")
-        assert plan.specs == (FaultSpec("executor.batch", 0, "crash"),)
+        plan = FaultPlan.parse("store.commit:crash@0")
+        assert plan.specs == (FaultSpec("store.commit", 0, "crash"),)
 
     def test_kind_defaults_to_error(self):
         plan = FaultPlan.parse("store.commit@2")
@@ -160,5 +159,5 @@ class TestInjector:
 
     def test_no_op_injector_is_free(self):
         assert NO_OP_INJECTOR.enabled is False
-        NO_OP_INJECTOR.fire(SITE_EXECUTOR_BATCH)  # never raises
-        assert NO_OP_INJECTOR.invocations(SITE_EXECUTOR_BATCH) == 0
+        NO_OP_INJECTOR.fire(SITE_STORE_COMMIT)  # never raises
+        assert NO_OP_INJECTOR.invocations(SITE_STORE_COMMIT) == 0

@@ -40,11 +40,17 @@ class TestCaptureEnvironment:
 
 
 class TestGitSha:
-    def test_resolves_in_this_repo(self):
-        sha = git_sha()
-        assert sha, "the test suite runs inside a git repository"
-        assert len(sha) == 40
-        assert all(c in "0123456789abcdef" for c in sha)
+    def test_resolves_in_this_repo(self, tmp_path, monkeypatch):
+        # With no argument, git_sha() walks up from the current directory
+        # to the nearest .git — built here, so the test needs no clone.
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "refs" / "heads" / "main").write_text("d" * 40 + "\n")
+        nested = tmp_path / "src" / "pkg"
+        nested.mkdir(parents=True)
+        monkeypatch.chdir(nested)
+        assert git_sha() == "d" * 40
 
     def test_outside_any_repo_is_empty(self, tmp_path):
         assert git_sha(str(tmp_path)) == ""

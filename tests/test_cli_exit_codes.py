@@ -113,9 +113,9 @@ class TestIdentifyExitCodes:
         assert main(
             ["identify", str(r_path), str(s_path), *IDENTIFY_ARGS,
              "--extended-key", "name,cuisine",
-             "--workers", "0", "--quiet"]
+             "--retries", "0", "--quiet"]
         ) == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "--retries" in capsys.readouterr().err
 
     def test_unrecoverable_fault_exits_two(self, csvs, tmp_path, capsys):
         r_path, s_path = csvs

@@ -36,8 +36,7 @@ FLAGS = [
     ('identify', ('--suggest-keys',), 'suggest_keys', False, None, 0, False),
     ('identify', ('--mine',), 'mine', [], None, None, False),
     ('identify', ('--quiet',), 'quiet', False, None, 0, False),
-    ('identify', ('--blocker',), 'blocker', None, ('cross', 'hash', 'ilfd', 'snm'), None, False),
-    ('identify', ('--workers',), 'workers', 1, None, None, False),
+    ('identify', ('--blocker',), 'blocker', None, ('cross', 'hash'), None, False),
     ('identify', ('--trace',), 'trace', None, None, None, False),
     ('identify', ('--metrics',), 'metrics', False, None, 0, False),
     ('identify', ('--store',), 'store', None, None, None, False),
@@ -226,7 +225,7 @@ def test_every_command_has_a_parser():
 
 def test_flag_inventory_is_unchanged():
     actual = _inventory()
-    assert len(actual) == len(FLAGS) == 168
+    assert len(actual) == len(FLAGS) == 167
     assert sorted(actual, key=repr) == sorted(FLAGS, key=repr)
 
 
