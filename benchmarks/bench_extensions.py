@@ -176,7 +176,7 @@ def test_x8_sqlite_execution(benchmark, n_entities):
 def test_x7_multiway_three_sources(benchmark, example3):
     """X7: three-way identification — clusters span sources, pairwise
     projections agree with the two-way identifier, uniqueness holds."""
-    from repro.core.multiway import MultiwayIdentifier
+    from repro.entities import IdentityGraph
     from repro.relational.attribute import string_attribute
     from repro.relational.relation import Relation
     from repro.relational.schema import Schema
@@ -196,16 +196,16 @@ def test_x7_multiway_three_sources(benchmark, example3):
     )
 
     def run():
-        multiway = MultiwayIdentifier(
+        graph = IdentityGraph(
             {"R": example3.r, "S": example3.s, "T": t},
             example3.extended_key,
             ilfds=list(example3.ilfds),
         )
         return (
-            multiway.clusters(),
-            multiway.verify(),
-            multiway.pairwise_pairs("R", "S"),
-            multiway.integrate(),
+            graph.clusters(),
+            graph.verify(),
+            graph.pairwise_pairs("R", "S"),
+            graph.integrate(),
         )
 
     clusters, report, rs_pairs, integrated = benchmark(run)

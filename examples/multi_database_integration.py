@@ -13,7 +13,7 @@ Run:  python examples/multi_database_integration.py
 """
 
 from repro import EntityIdentifier, Relation, Schema, Attribute, format_relation
-from repro.core.multiway import MultiwayIdentifier
+from repro.entities import IdentityGraph
 from repro.workloads import restaurant_example_3
 
 
@@ -32,27 +32,27 @@ def main() -> None:
         name="T",
     )
 
-    multiway = MultiwayIdentifier(
+    graph = IdentityGraph(
         {"R": workload.r, "S": workload.s, "T": t},
         workload.extended_key,
         ilfds=list(workload.ilfds),
     )
 
     print("entity clusters (tuples sharing complete extended-key values):")
-    for cluster in multiway.clusters():
+    for cluster in graph.clusters():
         print(f"  {cluster.key}: sources {', '.join(cluster.sources)}")
 
-    report = multiway.verify()
+    report = graph.verify()
     print(f"\ngeneralised uniqueness constraint holds: {report.is_sound}")
 
     two_way = EntityIdentifier(
         workload.r, workload.s, workload.extended_key, ilfds=list(workload.ilfds)
     ).matching_table()
-    agrees = multiway.pairwise_pairs("R", "S") == two_way.pairs()
+    agrees = graph.pairwise_pairs("R", "S") == two_way.pairs()
     print(f"R-S projection agrees with the two-way identifier: {agrees}")
 
     print()
-    integrated = multiway.integrate()
+    integrated = graph.integrate()
     print(format_relation(integrated, title="three-way integrated table"))
 
 

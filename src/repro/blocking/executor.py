@@ -23,13 +23,23 @@ evaluation itself raises (a "poisoned" pair) is quarantined and
 reported in :attr:`PairEvaluation.quarantined` instead of silently
 dropped or allowed to sink the run, and a failed transactional store
 write is retried under the executor's
-:class:`~repro.resilience.RetryPolicy`.
+:class:`~repro.resilience.RetryPolicy` (:meth:`PairExecutor.write_store`,
+which the identifier's matching-table write goes through too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.blocking.base import CandidatePairs, IndexPair
 from repro.blocking.errors import BlockingError
@@ -274,39 +284,49 @@ class PairExecutor:
                 raise BlockingError(
                     "store writes need r_keys/s_keys parallel to the row lists"
                 )
-            def write_store() -> None:
-                with store.transaction():
-                    for (i, j), rule_index in zip(matches, match_rules):
-                        store.record_match(
-                            r_keys[i],
-                            s_keys[j],
-                            r_rows[i],
-                            s_rows[j],
-                            rule=identity[rule_index].name,
-                        )
-                    for (i, j), rule_index in zip(distinct, distinct_rules):
-                        store.record_non_match(
-                            r_keys[i],
-                            s_keys[j],
-                            r_rows[i],
-                            s_rows[j],
-                            rule=distinctness.rules[rule_index].name,
-                        )
 
-            if self._retry is not None and self._retry.max_attempts > 1:
-                # A failed transactional commit rolls everything back
-                # (journal appends and sequence numbers included), so
-                # re-running the whole write is safe.  Integrity errors
-                # are deterministic — retrying them only hides the
-                # violation behind a RetryExhaustedError.
-                from repro.store.errors import StoreIntegrityError
+            def write() -> None:
+                for (i, j), rule_index in zip(matches, match_rules):
+                    store.record_match(
+                        r_keys[i],
+                        s_keys[j],
+                        r_rows[i],
+                        s_rows[j],
+                        rule=identity[rule_index].name,
+                    )
+                for (i, j), rule_index in zip(distinct, distinct_rules):
+                    store.record_non_match(
+                        r_keys[i],
+                        s_keys[j],
+                        r_rows[i],
+                        s_rows[j],
+                        rule=distinctness.rules[rule_index].name,
+                    )
 
-                self._retry.call(
-                    write_store,
-                    operation="executor.store_write",
-                    fatal=(StoreIntegrityError,),
-                    tracer=tracer,
-                )
-            else:
-                write_store()
+            self.write_store(store, write)
         return evaluation
+
+    def write_store(self, store: "MatchStore", write: Callable[[], None]) -> None:
+        """Run *write* in one *store* transaction, retried under the policy.
+
+        A failed transactional commit rolls everything back (journal
+        appends and sequence numbers included), so re-running the whole
+        write is safe.  Integrity errors are deterministic — retrying
+        them only hides the violation behind a ``RetryExhaustedError``.
+        """
+
+        def transact() -> None:
+            with store.transaction():
+                write()
+
+        if self._retry is None or self._retry.max_attempts <= 1:
+            transact()
+            return
+        from repro.store.errors import StoreIntegrityError
+
+        self._retry.call(
+            transact,
+            operation="executor.store_write",
+            fatal=(StoreIntegrityError,),
+            tracer=self._tracer,
+        )

@@ -24,7 +24,7 @@ Usage::
     repro identify --source R=r.csv --source S=s.csv --source T=t.csv \\
         --key R=name,street --key S=name,city --key T=name,speciality \\
         --extended-key name,cuisine,speciality --on-conflict null \\
-        --out integrated.csv                   # N-way multiway identification
+        --out integrated.csv                   # N-way identification
 
     repro entities build entities.sqlite \\
         --source R=r.csv --source S=s.csv --source T=t.csv \\
@@ -263,7 +263,7 @@ def _add_named_sources(parser: argparse.ArgumentParser, *, required=False) -> No
         metavar="NAME=CSV",
         help="named source relation (repeatable; at least two, each with "
         "its key given by --key NAME=ATTRS); on 'identify' the named "
-        "sources run through N-way multiway identification instead of "
+        "sources run through the N-way identity graph instead of "
         "the pairwise pipeline",
         **({"required": True} if required else {"default": []}),
     )
@@ -631,7 +631,7 @@ def _identify_arguments(parser: argparse.ArgumentParser) -> None:
         "--on-conflict",
         choices=("first", "error", "null"),
         default="first",
-        help="multiway integration policy when matched sources disagree "
+        help="N-way integration policy when matched sources disagree "
         "on an attribute: keep the first non-NULL value in declaration "
         "order ('first', the default), fail the run ('error'), or leave "
         "the contested attribute NULL ('null')",
@@ -640,7 +640,7 @@ def _identify_arguments(parser: argparse.ArgumentParser) -> None:
         "--source-column",
         default="sources",
         metavar="NAME",
-        help="name of the provenance column the multiway integrated "
+        help="name of the provenance column the N-way integrated "
         "table records contributing sources in (default 'sources')",
     )
     _add_extended_key(parser)
@@ -684,7 +684,7 @@ def _identify_arguments(parser: argparse.ArgumentParser) -> None:
 def _identify(args) -> int:
     """``repro identify``: 0 sound, 1 unsound/degraded."""
     if args.source:
-        return _identify_multiway(args)
+        return _identify_graph(args)
     if not (args.r_csv and args.s_csv and args.r_key and args.s_key):
         raise ValueError(
             "the two-source form needs R.csv S.csv --r-key ... --s-key ... "
@@ -777,15 +777,15 @@ def _identify(args) -> int:
     return telemetry.finish(status, sound=report.is_sound)
 
 
-def _identify_multiway(args) -> int:
+def _identify_graph(args) -> int:
     """The ``repro identify --source A=... --source B=...`` route.
 
-    Runs :class:`~repro.core.multiway.MultiwayIdentifier` over the named
-    sources: prints the entity clusters and the generalized-uniqueness
-    verdict; ``--out`` writes the integrated table merged under
-    ``--on-conflict``.
+    Runs :class:`~repro.entities.IdentityGraph` over the named sources,
+    with the checks ``entities build`` applies: prints the entity
+    clusters and the generalized-uniqueness verdict; ``--out`` writes
+    the integrated table merged under ``--on-conflict``.
     """
-    from repro.core.multiway import MultiwayIdentifier
+    from repro.entities import IdentityGraph
 
     for flag, value in (("--store", args.store), ("--suggest-keys", args.suggest_keys)):
         if value:
@@ -801,27 +801,21 @@ def _identify_multiway(args) -> int:
     sources = _parse_named_sources(args.source, args.key)
     ilfds = _collect_ilfds(args, quiet=args.quiet)
     telemetry = _Telemetry(args, "identify")
-    identifier = MultiwayIdentifier(
+    graph = IdentityGraph(
         sources, _split_key(args.extended_key), ilfds=ilfds, tracer=telemetry.tracer
     )
-    clusters = identifier.clusters()
-    report = identifier.verify()
-    conflicts = identifier.conflicts()
+    clusters = graph.clusters()
+    report = graph.verify()
+    conflicts = graph.conflicts()
     if not args.quiet:
-        key_attrs = identifier.extended_key.attributes
-        # Member keys in declared attribute order: primary_key is a
-        # frozenset, whose order varies with the hash seed.
-        member_keys = {
-            name: [n for n in source.schema.names if n in source.schema.primary_key]
-            for name, source in sources.items()
-        }
+        key_attrs = graph.extended_key.attributes
         print(f"{len(clusters)} entity cluster(s) across {len(sources)} sources")
         for cluster in clusters:
             rendered = ", ".join(
                 f"{attr}={value}" for attr, value in zip(key_attrs, cluster.key)
             )
             members = ", ".join(
-                f"{name}:{row.values_for(member_keys[name])}"
+                f"{name}:{row.values_for(graph.source_key_attributes(name))}"
                 for name, row in cluster.members
             )
             print(f"  [{rendered}] <- {members}")
@@ -830,9 +824,9 @@ def _identify_multiway(args) -> int:
         if report.is_sound:
             print("uniqueness holds: no source has two tuples per entity")
         else:
-            print(f"uniqueness VIOLATED: {dict(report.violations)!r}")
+            print(f"uniqueness VIOLATED: {report.summary()}")
     if args.out:
-        integrated = identifier.integrate(
+        integrated = graph.integrate(
             source_column=args.source_column, on_conflict=args.on_conflict
         )
         write_csv(integrated, args.out)

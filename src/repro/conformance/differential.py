@@ -47,7 +47,7 @@ from repro.conformance.errors import ConformanceError
 from repro.conformance.oracles import Knowledge, _key_attrs
 from repro.core.identifier import EntityIdentifier
 from repro.core.matching_table import build_matching_table, key_values
-from repro.core.multiway import EntityCluster
+from repro.entities.graph import EntityCluster
 from repro.relational.nulls import Maybe
 from repro.relational.relation import Relation
 from repro.resilience.faults import FaultInjector, FaultPlan

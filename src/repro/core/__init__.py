@@ -48,13 +48,6 @@ from repro.core.integration import (
 )
 from repro.core.report import identification_report
 from repro.core.explain import MatchExplanation, ValueProvenance, explain_match
-from repro.core.multiway import (
-    CONFLICT_POLICIES,
-    AttributeConflict,
-    EntityCluster,
-    MultiwayIdentifier,
-    MultiwaySoundnessReport,
-)
 from repro.core.soundness import SoundnessReport, verify_soundness
 from repro.core.monotonicity import KnowledgeIncrement, MonotonicityTracker
 from repro.core.diagnostics import (
@@ -73,9 +66,6 @@ __all__ = [
     "ConsistencyError",
     "CoreError",
     "HomonymCandidate",
-    "AttributeConflict",
-    "CONFLICT_POLICIES",
-    "EntityCluster",
     "EntityIdentifier",
     "ExtendedKey",
     "ExtendedKeyError",
@@ -87,8 +77,6 @@ __all__ = [
     "MatchStatus",
     "MatchingTable",
     "MonotonicityTracker",
-    "MultiwayIdentifier",
-    "MultiwaySoundnessReport",
     "NegativeMatchingTable",
     "PossibleIntraMatch",
     "SoundnessError",

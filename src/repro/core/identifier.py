@@ -53,6 +53,7 @@ from repro.relational.row import Row
 from repro.rules.conversion import ilfd_to_distinctness_rules
 from repro.rules.distinctness import DistinctnessRule
 from repro.rules.engine import MatchStatus, RuleEngine
+from repro.rules.errors import RuleConflictError
 from repro.rules.identity import IdentityRule
 from repro.store.base import MatchStore
 from repro.store.journal import KIND_ASSERT, KIND_IDENTITY
@@ -420,10 +421,12 @@ class EntityIdentifier:
                 table.add(entry)
                 recorded.append((entry, "user-assertion", KIND_ASSERT))
             check_table(self._rules, table)
-            if self._store is not None:
-                with self._store.transaction():
+            store = self._store
+            if store is not None:
+
+                def write() -> None:
                     for entry, rule, kind in recorded:
-                        self._store.record_match(
+                        store.record_match(
                             entry.r_key,
                             entry.s_key,
                             entry.r_row,
@@ -431,6 +434,8 @@ class EntityIdentifier:
                             rule=rule,
                             kind=kind,
                         )
+
+                self._executor.write_store(store, write)
             span.set("entries", len(table))
         if self._tracer.enabled:
             self._tracer.metrics.inc("pipeline.matches", len(table))
@@ -512,18 +517,13 @@ class EntityIdentifier:
         # The extended-key rule is part of the engine's identity rules, and
         # its predicates evaluate UNKNOWN (not TRUE) on NULLs, so "all K_Ext
         # values non-NULL and equal" is exactly "some identity rule fires".
-        matched = bool(self._rules.firing_identity_rules(r_ext, s_ext))
-        distinct = bool(self._rules.firing_distinctness_rules(r_ext, s_ext))
-        if matched and distinct:
+        try:
+            return self._rules.classify(r_ext, s_ext)
+        except RuleConflictError as exc:
             raise ConsistencyError(
                 f"pair classifies as both matching and distinct: "
                 f"{dict(r_row)!r} / {dict(s_row)!r}"
-            )
-        if matched:
-            return MatchStatus.MATCH
-        if distinct:
-            return MatchStatus.NON_MATCH
-        return MatchStatus.UNKNOWN
+            ) from exc
 
     def verify(self) -> SoundnessReport:
         """Verify the soundness criteria (the prototype's ``verify``)."""

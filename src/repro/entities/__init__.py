@@ -3,14 +3,13 @@
 The paper's machinery is pairwise (one MT_RS per R,S); real
 integrations have N sources.  This package generalizes the platform:
 
-- :class:`~repro.entities.graph.IdentityGraph` — one group-by on
-  complete extended-key values (delegated to
-  :class:`~repro.core.multiway.MultiwayIdentifier`) whose clusters are
-  **bit-identical** to the closure of all N·(N−1)/2 pairwise runs (the
-  ``entities-graph`` conformance cell proves it against fresh pairwise
-  runs), with the pairwise consistency check and the generalized
+- :class:`~repro.entities.graph.IdentityGraph` — the one N-way
+  identifier: a group-by on complete extended-key values whose clusters
+  are **bit-identical** to the closure of all N·(N−1)/2 pairwise runs
+  (the ``entities-graph`` conformance cell proves it against fresh
+  pairwise runs), with the pairwise consistency check, the generalized
   uniqueness constraint (≤ 1 tuple per source per cluster) verified via
-  structured reports,
+  structured reports, and a flat integrated table,
 - **survivorship** (:mod:`repro.entities.survivorship`) — a pluggable,
   fully attributed first-rule-wins chain (source priority,
   most-complete, longest, newest) deciding every golden value,
@@ -104,9 +103,11 @@ for _name, _description in (
         "entities.pairwise_runs",
         "on-demand pairwise runs (pair_result); resolution itself runs none",
     ),
+    ("entities.tuples", "tuples with a complete extended-key value, grouped"),
     ("entities.clusters", "entity clusters produced by the extended-key grouping"),
     ("entities.members", "member tuples across all produced clusters"),
     ("entities.violations", "generalized uniqueness violations detected"),
+    ("entities.conflicts", "attribute conflicts between matched sources"),
     ("entities.golden_built", "golden entity records built and persisted"),
     ("entities.decisions_logged", "survivorship decisions journaled"),
     ("entities.contested", "survivorship decisions where sources disagreed"),

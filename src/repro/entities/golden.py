@@ -1,6 +1,6 @@
 """Golden entities: one canonical record per resolved cluster.
 
-Where ``MultiwayIdentifier.integrate`` flattens clusters into one wide
+Where ``IdentityGraph.integrate`` flattens clusters into one wide
 relation, a :class:`GoldenEntity` keeps the entity as a first-class
 object: the deterministic canonical id, the survivorship-merged record,
 the member identities, and — crucially — every per-attribute
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.matching_table import key_values
-from repro.core.multiway import EntityCluster
+from repro.entities.graph import EntityCluster
 from repro.entities.survivorship import Candidate, Decision, SurvivorshipPolicy
 from repro.relational.nulls import NULL, is_null
 from repro.relational.row import Row

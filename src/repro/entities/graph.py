@@ -1,15 +1,25 @@
-"""The identity graph: N-way resolution over one extended-key grouping.
+"""The identity graph: N-way entity identification by one grouping.
 
-A match is equality of complete, non-NULL extended-key values (§4.1)
-and equality is transitive, so entities are hash buckets.
-:class:`IdentityGraph` delegates ILFD extension, the grouping and the
-pairwise projections to one
-:class:`~repro.core.multiway.MultiwayIdentifier`, and adds the checks a
-pairwise run would make, structured uniqueness reports, and an
-on-demand pairwise pipeline (:meth:`IdentityGraph.pair_result`) that
-resolution itself never runs.  Golden records
-(:mod:`repro.entities.golden`) and the persisted entity store
-(:mod:`repro.entities.build`) are made from it.
+The paper opens with "taking two (or more) independently developed
+databases" but develops the machinery for two relations.  The
+generalisation is direct: a match is equality of complete, non-NULL
+extended-key values (§4.1) and equality is transitive, so entities are
+the groups of tuples, across all sources, sharing a complete
+extended-key value — hash buckets, with no pairwise fix-ups or cluster
+repair.  :class:`IdentityGraph`:
+
+1. extends every source with ILFD-derived extended-key values,
+2. groups all tuples by complete extended-key value — groups spanning
+   ≥2 sources are the entity clusters — and applies the checks a
+   pairwise run would make,
+3. verifies the generalized uniqueness constraint: within one source,
+   no two tuples share a complete extended-key value (§3.1),
+4. integrates: one row per entity over the union of the source schemas,
+
+and offers an on-demand pairwise pipeline
+(:meth:`IdentityGraph.pair_result`) that resolution itself never runs.
+Golden records (:mod:`repro.entities.golden`) and the persisted entity
+store (:mod:`repro.entities.build`) are made from it.
 
 The consistency verdict is the pairwise one
 (:func:`~repro.core.consistency.check_matches`): a matched
@@ -45,21 +55,67 @@ from repro.core.consistency import MatchCheck, check_matches, dual_rules
 from repro.core.extended_key import ExtendedKey
 from repro.core.identifier import EntityIdentifier, IdentificationResult
 from repro.core.matching_table import KeyValues, key_values
-from repro.core.multiway import EntityCluster, MultiwayIdentifier
 from repro.entities.errors import GraphError
-from repro.ilfd.derivation import DerivationPolicy
+from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.observability.tracer import NO_OP_TRACER, Tracer
+from repro.relational.attribute import Attribute
+from repro.relational.nulls import NULL, is_null
 from repro.relational.relation import Relation
 from repro.relational.row import Row
+from repro.relational.schema import Schema
 from repro.store.codec import encode_row
 
 __all__ = [
+    "AttributeConflict",
+    "CONFLICT_POLICIES",
+    "EntityCluster",
     "IdentityGraph",
     "UniquenessViolation",
     "GraphSoundnessReport",
     "cluster_fingerprint",
 ]
+
+CONFLICT_POLICIES = ("first", "error", "null")
+"""Integrate's attribute-collision policies: first non-NULL in source
+order wins / raise on any disagreement / blank disagreeing attributes."""
+
+
+@dataclass(frozen=True)
+class EntityCluster:
+    """One matched entity: tuples from ≥2 sources sharing K_Ext values."""
+
+    key: Tuple[Any, ...]
+    members: Tuple[Tuple[str, Row], ...]
+
+    @property
+    def sources(self) -> Tuple[str, ...]:
+        """The source names contributing a tuple, in member order."""
+        return tuple(source for source, _ in self.members)
+
+    def member_of(self, source: str) -> Optional[Row]:
+        """This cluster's tuple from *source*, if any."""
+        for name, row in self.members:
+            if name == source:
+                return row
+        return None
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class AttributeConflict:
+    """Sources disagree on one attribute of one matched entity.
+
+    ``values`` lists every non-NULL candidate as ``(source, value)`` in
+    cluster member order — at least two distinct values, or the
+    attribute would not be a conflict.
+    """
+
+    key: Tuple[Any, ...]
+    attribute: str
+    values: Tuple[Tuple[str, Any], ...]
 
 
 def cluster_fingerprint(clusters: Sequence[EntityCluster]) -> str:
@@ -68,7 +124,7 @@ def cluster_fingerprint(clusters: Sequence[EntityCluster]) -> str:
     Hashes the cluster keys and every member's ``(source, canonical row
     encoding)`` in list order, so two cluster lists fingerprint equal
     iff they are bit-identical — the conformance cell's equality test
-    between the graph and ``MultiwayIdentifier``, and between a build
+    between the graph and the pairwise reference, and between a build
     and its reload.
     """
     material = json.dumps(
@@ -117,20 +173,23 @@ class GraphSoundnessReport:
             grouped.setdefault(violation.source, []).append(violation)
         return {source: tuple(items) for source, items in grouped.items()}
 
+    def summary(self, limit: Optional[int] = None) -> str:
+        """The first *limit* (default all) violations, on one line."""
+        return "; ".join(
+            f"{v.source} models {v.key!r} {len(v.members)} times"
+            for v in self.violations[:limit]
+        )
+
     def raise_if_unsound(self) -> None:
         """Raise :class:`GraphError` when the check failed."""
         if not self.is_sound:
-            detail = "; ".join(
-                f"{v.source} models {v.key!r} {len(v.members)} times"
-                for v in self.violations[:5]
-            )
             raise GraphError(
-                f"generalized uniqueness constraint violated: {detail}"
+                f"generalized uniqueness constraint violated: {self.summary(5)}"
             )
 
 
 class IdentityGraph:
-    """N-way entity resolution by one extended-key grouping.
+    """N-way entity identification by one extended-key grouping.
 
     Parameters
     ----------
@@ -147,8 +206,8 @@ class IdentityGraph:
         default paths.  Resolution never uses it.
     tracer:
         Optional tracer; the graph emits ``entities.*`` spans and
-        metrics and shares the tracer with its grouping (``multiway.*``,
-        ``ilfd.*``) and with every pairwise pipeline.
+        metrics and shares the tracer with its ILFD extension
+        (``ilfd.*``) and with every pairwise pipeline.
     """
 
     def __init__(
@@ -173,13 +232,11 @@ class IdentityGraph:
         self._blocker_factory = blocker_factory
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
         self._rules = dual_rules(self._ilfds)
-        self._multiway = MultiwayIdentifier(
-            self._sources,
-            extended_key,
-            ilfds=self._ilfds,
-            policy=policy,
-            tracer=self._tracer,
+        self._engine = DerivationEngine(
+            self._ilfds, policy=policy, tracer=self._tracer
         )
+        self._extended: Optional[Dict[str, Relation]] = None
+        self._groups: Optional[Dict[Tuple[Any, ...], List[Tuple[str, Row]]]] = None
         self._identifiers: Dict[FrozenSet[str], EntityIdentifier] = {}
         self._results: Dict[FrozenSet[str], IdentificationResult] = {}
         self._clusters: Optional[List[EntityCluster]] = None
@@ -205,7 +262,8 @@ class IdentityGraph:
     def source_key_attributes(self, name: str) -> Tuple[str, ...]:
         """*name*'s primary-key attributes, in schema order."""
         self._check_source(name)
-        return self._multiway.source_key_attributes(name)
+        schema = self._sources[name].schema
+        return tuple(n for n in schema.names if n in schema.primary_key)
 
     def _check_source(self, name: str) -> None:
         if name not in self._sources:
@@ -221,13 +279,41 @@ class IdentityGraph:
 
     def extended(self) -> Dict[str, Relation]:
         """Every source extended with derived K_Ext values (computed once)."""
-        return self._multiway.extended()
+        if self._extended is None:
+            targets = list(self._key.attributes)
+            with self._tracer.span("entities.extend", sources=len(self._names)):
+                self._extended = {
+                    name: self._engine.extend_relation(relation, targets)
+                    for name, relation in self._sources.items()
+                }
+        return self._extended
+
+    def _grouped(self) -> Dict[Tuple[Any, ...], List[Tuple[str, Row]]]:
+        """Every tuple with a complete K_Ext value, grouped by that value."""
+        if self._groups is None:
+            key_attrs = list(self._key.attributes)
+            groups: Dict[Tuple[Any, ...], List[Tuple[str, Row]]] = defaultdict(list)
+            tuples = 0
+            for name, relation in self.extended().items():
+                for row in relation:
+                    values = row.values_for(key_attrs)
+                    if any(is_null(v) for v in values):
+                        continue
+                    groups[values].append((name, row))
+                    tuples += 1
+            self._groups = groups
+            if self._tracer.enabled:
+                self._tracer.metrics.inc("entities.tuples", tuples)
+        return self._groups
 
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
     def clusters(self) -> List[EntityCluster]:
-        """Entity clusters, as :meth:`MultiwayIdentifier.clusters` orders them.
+        """Matched entities: groups spanning at least two sources.
+
+        Computed once, sorted by the string form of the shared
+        extended-key values; members in (source declaration, row) order.
 
         Raises ``ExtendedKeyError`` when some source pair can never
         value the key, and ``ConsistencyError`` when a matched
@@ -245,7 +331,12 @@ class IdentityGraph:
                 self._key.check_against(
                     self._sources[first], self._sources[second], derivable=derivable
                 )
-            clusters = self._multiway.clusters()
+            clusters = [
+                EntityCluster(values, tuple(members))
+                for values, members in self._grouped().items()
+                if len({name for name, _ in members}) >= 2
+            ]
+            clusters.sort(key=lambda cluster: str(cluster.key))
             check_matches(self._rules, self._cross_source_matches(clusters))
         self._clusters = clusters
         if self._tracer.enabled:
@@ -281,35 +372,188 @@ class IdentityGraph:
         raising whatever :meth:`clusters` raises.
         """
         self._check_pair(first, second)
-        self.clusters()
-        return self._multiway.pairwise_pairs(first, second)
+        first_keys = self.source_key_attributes(first)
+        second_keys = self.source_key_attributes(second)
+        pairs = set()
+        for cluster in self.clusters():
+            lefts = [row for name, row in cluster.members if name == first]
+            rights = [row for name, row in cluster.members if name == second]
+            for left in lefts:
+                for right in rights:
+                    pairs.add(
+                        (key_values(left, first_keys), key_values(right, second_keys))
+                    )
+        return frozenset(pairs)
 
     def verify(self) -> GraphSoundnessReport:
         """The generalized uniqueness constraint, structured per source.
 
         Read off the shared grouping, so a source modelling an entity
         twice is reported even when no other source shares the key.
+        Sources in declaration order; within a source, violations in
+        order of their first tuple's position.
         """
         with self._tracer.span("entities.verify"):
-            violations = tuple(
-                UniquenessViolation(
-                    name,
-                    values,
-                    tuple(
-                        key_values(row, self.source_key_attributes(name))
-                        for row in rows
-                    ),
+            found: Dict[str, List[Tuple[Tuple[Any, ...], List[Row]]]] = {
+                name: [] for name in self._names
+            }
+            for values, members in self._grouped().items():
+                if len(members) < 2:
+                    continue
+                per_source: Dict[str, List[Row]] = defaultdict(list)
+                for name, row in members:
+                    per_source[name].append(row)
+                for name, rows in per_source.items():
+                    if len(rows) > 1:
+                        found[name].append((values, rows))
+            violations: List[UniquenessViolation] = []
+            for name, breaches in found.items():
+                if len(breaches) > 1:
+                    position = {row: i for i, row in enumerate(self.extended()[name])}
+                    breaches.sort(key=lambda breach: position[breach[1][0]])
+                key_attrs = self.source_key_attributes(name)
+                violations.extend(
+                    UniquenessViolation(
+                        name,
+                        values,
+                        tuple(key_values(row, key_attrs) for row in rows),
+                    )
+                    for values, rows in breaches
                 )
-                for name, breaches in self._multiway.uniqueness_violations().items()
-                for values, rows in breaches
-            )
         if self._tracer.enabled and violations:
             self._tracer.metrics.inc("entities.violations", len(violations))
-        return GraphSoundnessReport(violations)
+        return GraphSoundnessReport(tuple(violations))
 
     def fingerprint(self) -> str:
         """Canonical fingerprint of this graph's clusters."""
         return cluster_fingerprint(self.clusters())
+
+    # ------------------------------------------------------------------
+    # Integration
+    # ------------------------------------------------------------------
+    def _attribute_order(self) -> List[str]:
+        """Union of the extended schemas, in declaration order."""
+        ordered: List[str] = []
+        for relation in self.extended().values():
+            for attr in relation.schema.names:
+                if attr not in ordered:
+                    ordered.append(attr)
+        return ordered
+
+    def _cluster_candidates(
+        self, cluster: EntityCluster
+    ) -> Dict[str, List[Tuple[str, Any]]]:
+        """Non-NULL candidate values per attribute, in member order."""
+        candidates: Dict[str, List[Tuple[str, Any]]] = {}
+        for source, row in cluster.members:
+            for attr in row:
+                value = row[attr]
+                if is_null(value):
+                    continue
+                candidates.setdefault(attr, []).append((source, value))
+        return candidates
+
+    def conflicts(self) -> List[AttributeConflict]:
+        """Every attribute collision integration would have to resolve.
+
+        An attribute of a cluster is in conflict when two members carry
+        distinct non-NULL values for it.  Deterministic order: clusters
+        in :meth:`clusters` order, attributes in schema-union order.
+        """
+        ordered = self._attribute_order()
+        out: List[AttributeConflict] = []
+        for cluster in self.clusters():
+            candidates = self._cluster_candidates(cluster)
+            for attr in ordered:
+                values = candidates.get(attr, [])
+                if len({value for _, value in values}) > 1:
+                    out.append(AttributeConflict(cluster.key, attr, tuple(values)))
+        if self._tracer.enabled and out:
+            self._tracer.metrics.inc("entities.conflicts", len(out))
+        return out
+
+    def integrate(
+        self, *, source_column: str = "sources", on_conflict: str = "first"
+    ) -> Relation:
+        """One row per real-world entity, over the union of the schemas.
+
+        Matched clusters coalesce attribute-wise; unmatched tuples
+        survive NULL-padded.  When members disagree on a non-key
+        attribute, *on_conflict* decides — deterministically, never by
+        dict iteration accident:
+
+        - ``"first"`` (default): the first non-NULL value in source
+          declaration order wins (the disagreement is still counted in
+          the ``entities.conflicts`` metric; use :meth:`conflicts` for
+          the full diagnostic),
+        - ``"error"``: raise :class:`GraphError` naming the first
+          conflicting cluster and attribute,
+        - ``"null"``: blank the contested attribute — the integrated
+          row asserts nothing the sources dispute.
+
+        The *source_column* records provenance (comma-joined source
+        names), which also keeps coincidentally identical unmatched
+        tuples from different sources apart.
+        """
+        if on_conflict not in CONFLICT_POLICIES:
+            raise GraphError(
+                f"unknown conflict policy {on_conflict!r}; "
+                f"expected one of {CONFLICT_POLICIES}"
+            )
+        ordered = self._attribute_order()
+        if source_column in ordered:
+            raise GraphError(
+                f"source column {source_column!r} collides with a source attribute"
+            )
+        schema = Schema([Attribute(a) for a in ordered + [source_column]])
+
+        with self._tracer.span("entities.integrate", on_conflict=on_conflict):
+            rows: List[Row] = []
+            clustered: set = set()
+            conflict_count = 0
+            for cluster in self.clusters():
+                for _, row in cluster.members:
+                    clustered.add(row)
+                candidates = self._cluster_candidates(cluster)
+                values: Dict[str, Any] = {attr: NULL for attr in ordered}
+                for attr in ordered:
+                    attr_values = candidates.get(attr, [])
+                    if len({value for _, value in attr_values}) > 1:
+                        conflict_count += 1
+                        if on_conflict == "error":
+                            raise GraphError(
+                                f"sources disagree on {attr!r} for entity "
+                                f"{cluster.key!r}: "
+                                + ", ".join(
+                                    f"{source}={value!r}"
+                                    for source, value in attr_values
+                                )
+                            )
+                        if on_conflict == "null":
+                            continue  # values[attr] stays NULL
+                    if attr_values:
+                        values[attr] = attr_values[0][1]
+                values[source_column] = ",".join(cluster.sources)
+                rows.append(Row(values))
+            for name, relation in self.extended().items():
+                for row in relation:
+                    if row in clustered:
+                        continue
+                    values = {attr: NULL for attr in ordered}
+                    for attr in row:
+                        values[attr] = row[attr]
+                    values[source_column] = name
+                    rows.append(Row(values))
+            if self._tracer.enabled and conflict_count:
+                self._tracer.metrics.inc("entities.conflicts", conflict_count)
+
+        out = Relation(schema, (), name="T_multi", enforce_keys=False)
+        deduped: Dict[Row, None] = {}
+        for row in rows:
+            deduped.setdefault(row)
+        out._rows = tuple(deduped)
+        out._row_set = frozenset(deduped)
+        return out
 
     # ------------------------------------------------------------------
     # On-demand pairwise pipeline

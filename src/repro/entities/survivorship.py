@@ -93,7 +93,7 @@ class SourcePriorityRule(SurvivorshipRule):
     With an explicit *order*, sources listed earlier outrank later ones
     (unlisted sources rank last, in candidate order).  Without one, the
     candidate order itself — source declaration order — is the
-    priority, which reproduces ``MultiwayIdentifier.integrate``'s
+    priority, which reproduces ``IdentityGraph.integrate``'s
     first-non-NULL-wins semantics exactly.
     """
 

@@ -53,12 +53,6 @@ WELL_KNOWN_METRICS: Dict[str, str] = {
     "store.checkpoint_bytes": "on-disk size of written checkpoints",
     "store.resumes": "checkpoint resumes performed",
     "store.load_ms": "milliseconds spent loading checkpoints",
-    # multiway identification (repro.core.multiway)
-    "multiway.sources": "source relations declared to multiway identifiers",
-    "multiway.tuples": "tuples scanned by multiway extension",
-    "multiway.clusters": "entity clusters produced by multiway identification",
-    "multiway.violations": "uniqueness violations found by multiway verify",
-    "multiway.conflicts": "attribute conflicts detected during integration",
     "store.entity_writes": "canonical entity records written to the store",
     # serving layer (repro.serving)
     "serving.requests": "HTTP requests handled by the serving layer",

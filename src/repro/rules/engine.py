@@ -140,20 +140,3 @@ class RuleEngine:
         if self._tracer.enabled:
             self._tracer.metrics.inc(f"rules.outcome.{status.value}")
         return status
-
-    def explain(self, row1: Mapping, row2: Mapping) -> str:
-        """Human-readable account of why the pair classifies as it does."""
-        try:
-            status = self.classify(row1, row2)
-        except RuleConflictError as exc:
-            return f"CONFLICT: {exc}"
-        if status is MatchStatus.MATCH:
-            names = [r.name or repr(r) for r in self.firing_identity_rules(row1, row2)]
-            return f"MATCH by identity rule(s): {', '.join(names)}"
-        if status is MatchStatus.NON_MATCH:
-            names = [
-                r.name or repr(r)
-                for r in self.firing_distinctness_rules(row1, row2)
-            ]
-            return f"NON-MATCH by distinctness rule(s): {', '.join(names)}"
-        return "UNKNOWN: no rule fires for this pair"

@@ -9,8 +9,8 @@ directly.
 this tuple, who does it match, and why": the tuple's entity cluster
 (every tuple across both sources sharing its complete extended-key
 values — the equivalence-class grouping of
-:class:`~repro.core.multiway.MultiwayIdentifier`, rendered as
-:class:`~repro.core.multiway.EntityCluster`), its matching-table
+:class:`~repro.entities.IdentityGraph`, rendered as
+:class:`~repro.entities.graph.EntityCluster`), its matching-table
 entries, and per-pair provenance reconstructed from the derivation
 journal (:func:`repro.store.journal.explain_pair`).  Lookups run on a
 :class:`~repro.serving.replica.ReplicaPool` worker against a read-only
@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.core.consistency import dual_rules
 from repro.core.errors import ConsistencyError, CoreError
 from repro.core.extended_key import ExtendedKey
-from repro.core.multiway import EntityCluster
+from repro.entities.graph import EntityCluster
 from repro.federation.incremental import admit
 from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
 from repro.observability.tracer import NO_OP_TRACER, Tracer
@@ -376,7 +376,7 @@ class MatchLookupService:
     def _cluster_of(
         self, store: MatchStore, extended: Row, ext_text: Optional[str]
     ) -> Optional[Dict[str, Any]]:
-        """The tuple's entity cluster, in multiway's equivalence terms.
+        """The tuple's entity cluster, in the identity graph's terms.
 
         ``None`` when the extended key is incomplete — Section 6.2's
         NULL semantics mean such a tuple belongs to no cluster.

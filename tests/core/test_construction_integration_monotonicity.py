@@ -142,6 +142,13 @@ class TestIntegration:
         assert len(conflicts) == 1
         assert conflicts[0].attribute == "v"
 
+    def test_core_exports_the_integration_conflict(self):
+        import repro.core
+        from repro.core import integration
+
+        assert repro.core.__all__.count("AttributeConflict") == 1
+        assert repro.core.AttributeConflict is integration.AttributeConflict
+
 
 class TestSoundnessReport:
     def test_messages_match_prototype(self, example3):

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.errors import CoreError
 from repro.core.identifier import EntityIdentifier
-from repro.core.multiway import MultiwayIdentifier
+from repro.entities import GraphError, IdentityGraph
 from repro.relational.attribute import string_attribute
 from repro.relational.nulls import is_null
 from repro.relational.relation import Relation
@@ -33,8 +32,8 @@ def three_sources(example3):
 
 
 @pytest.fixture
-def multiway(three_sources, example3):
-    return MultiwayIdentifier(
+def graph(three_sources, example3):
+    return IdentityGraph(
         three_sources,
         example3.extended_key,
         ilfds=list(example3.ilfds),
@@ -42,8 +41,8 @@ def multiway(three_sources, example3):
 
 
 class TestClusters:
-    def test_cluster_contents(self, multiway):
-        clusters = multiway.clusters()
+    def test_cluster_contents(self, graph):
+        clusters = graph.clusters()
         by_name = {dict(zip(("name",), c.key[:1]))["name"]: c for c in clusters}
         # keys are (name, cuisine, speciality) value tuples in K_Ext order
         spans = {c.key[0]: set(c.sources) for c in clusters}
@@ -51,18 +50,18 @@ class TestClusters:
         assert spans["Anjuman"] == {"R", "S", "T"}
         assert spans["It'sGreek"] == {"R", "S"}
 
-    def test_three_way_cluster_size(self, multiway):
-        three_way = [c for c in multiway.clusters() if len(c) == 3]
+    def test_three_way_cluster_size(self, graph):
+        three_way = [c for c in graph.clusters() if len(c) == 3]
         assert len(three_way) == 2  # TwinCities-Hunan and Anjuman-Mughalai
 
-    def test_member_lookup(self, multiway):
-        cluster = next(c for c in multiway.clusters() if c.key[0] == "Anjuman")
+    def test_member_lookup(self, graph):
+        cluster = next(c for c in graph.clusters() if c.key[0] == "Anjuman")
         t_row = cluster.member_of("T")
         assert t_row is not None and t_row["phone"] == "555-0202"
         assert cluster.member_of("nope") is None
 
-    def test_soundness(self, multiway):
-        report = multiway.verify()
+    def test_soundness(self, graph):
+        report = graph.verify()
         assert report.is_sound
         report.raise_if_unsound()
 
@@ -77,53 +76,49 @@ class TestClusters:
             ("name", "speciality", "note"),
             "Bad",
         )
-        multiway = MultiwayIdentifier(
+        graph = IdentityGraph(
             {"R": example3.r, "Bad": bad},
             example3.extended_key,
             ilfds=list(example3.ilfds),
         )
-        report = multiway.verify()
+        report = graph.verify()
         assert not report.is_sound
-        assert report.violations["Bad"]
-
-    def test_needs_two_sources(self, example3):
-        with pytest.raises(CoreError):
-            MultiwayIdentifier({"R": example3.r}, example3.extended_key)
+        assert report.by_source()["Bad"]
 
 
 class TestPairwiseConsistency:
-    def test_rs_projection_matches_entity_identifier(self, multiway, example3):
-        pairwise = multiway.pairwise_pairs("R", "S")
+    def test_rs_projection_matches_entity_identifier(self, graph, example3):
+        pairwise = graph.pairwise_pairs("R", "S")
         two_way = EntityIdentifier(
             example3.r, example3.s, example3.extended_key, ilfds=list(example3.ilfds)
         ).matching_table()
         assert pairwise == two_way.pairs()
 
-    def test_transitivity_within_clusters(self, multiway):
+    def test_transitivity_within_clusters(self, graph):
         """If R~S and S~T within a cluster then R~T (equality of K_Ext)."""
-        rs = multiway.pairwise_pairs("R", "S")
-        st = multiway.pairwise_pairs("S", "T")
-        rt = multiway.pairwise_pairs("R", "T")
+        rs = graph.pairwise_pairs("R", "S")
+        st = graph.pairwise_pairs("S", "T")
+        rt = graph.pairwise_pairs("R", "T")
         s_to_r = {s_key: r_key for r_key, s_key in rs}
         for s_key, t_key in st:
             if s_key in s_to_r:
                 assert (s_to_r[s_key], t_key) in rt
 
-    def test_unknown_source_rejected(self, multiway):
-        with pytest.raises(CoreError):
-            multiway.pairwise_pairs("R", "nope")
+    def test_unknown_source_rejected(self, graph):
+        with pytest.raises(GraphError):
+            graph.pairwise_pairs("R", "nope")
 
 
 class TestMultiwayIntegration:
-    def test_row_count(self, multiway, three_sources):
-        integrated = multiway.integrate()
+    def test_row_count(self, graph, three_sources):
+        integrated = graph.integrate()
         total = sum(len(rel) for rel in three_sources.values())
-        in_clusters = sum(len(c) for c in multiway.clusters())
-        expected = len(multiway.clusters()) + (total - in_clusters)
+        in_clusters = sum(len(c) for c in graph.clusters())
+        expected = len(graph.clusters()) + (total - in_clusters)
         assert len(integrated) == expected
 
-    def test_cluster_rows_coalesce(self, multiway):
-        integrated = multiway.integrate()
+    def test_cluster_rows_coalesce(self, graph):
+        integrated = graph.integrate()
         anjuman = [
             row for row in integrated
             if row["name"] == "Anjuman" and row["sources"] == "R,S,T"
@@ -134,8 +129,8 @@ class TestMultiwayIntegration:
         assert row["county"] == "Mpls."          # from S
         assert row["phone"] == "555-0202"        # from T
 
-    def test_unmatched_rows_padded(self, multiway):
-        integrated = multiway.integrate()
+    def test_unmatched_rows_padded(self, graph):
+        integrated = graph.integrate()
         cantonese = [
             row for row in integrated if row["speciality"] == "Cantonese"
         ]
@@ -143,9 +138,9 @@ class TestMultiwayIntegration:
         assert cantonese[0]["sources"] == "T"
         assert is_null(cantonese[0]["street"])
 
-    def test_source_column_collision_rejected(self, multiway):
-        with pytest.raises(CoreError):
-            multiway.integrate(source_column="name")
+    def test_source_column_collision_rejected(self, graph):
+        with pytest.raises(GraphError):
+            graph.integrate(source_column="name")
 
 
 class TestEntityClusterEdgeCases:
@@ -157,21 +152,21 @@ class TestEntityClusterEdgeCases:
             ("name", "speciality"),
             "L",
         )
-        multiway = MultiwayIdentifier(
+        graph = IdentityGraph(
             {"R": example3.r, "L": lonely},
             example3.extended_key,
             ilfds=list(example3.ilfds),
         )
         assert all(
-            len(set(c.sources)) >= 2 for c in multiway.clusters()
+            len(set(c.sources)) >= 2 for c in graph.clusters()
         )
         assert not any(
-            c.key[0] == "OnlyHere" for c in multiway.clusters()
+            c.key[0] == "OnlyHere" for c in graph.clusters()
         )
 
-    def test_member_of_absent_source_is_none(self, multiway):
+    def test_member_of_absent_source_is_none(self, graph):
         greek = next(
-            c for c in multiway.clusters() if c.key[0] == "It'sGreek"
+            c for c in graph.clusters() if c.key[0] == "It'sGreek"
         )
         assert greek.member_of("T") is None
         assert set(greek.sources) == {"R", "S"}
@@ -179,7 +174,7 @@ class TestEntityClusterEdgeCases:
     def test_cluster_ordering_deterministic(self, three_sources, example3):
         """Cluster order is a pure function of the inputs, not dict order."""
         runs = [
-            MultiwayIdentifier(
+            IdentityGraph(
                 dict(order),
                 example3.extended_key,
                 ilfds=list(example3.ilfds),
@@ -204,7 +199,7 @@ class TestConflictPolicies:
             ("name", "speciality"),
             "T",
         )
-        return MultiwayIdentifier(
+        return IdentityGraph(
             {"R": example3.r, "S": example3.s, "T": t},
             example3.extended_key,
             ilfds=list(example3.ilfds),
@@ -226,7 +221,7 @@ class TestConflictPolicies:
         assert row["street"] == "LeSalleAve."  # R declared before T
 
     def test_error_policy_raises_naming_the_conflict(self, disagreeing):
-        with pytest.raises(CoreError) as excinfo:
+        with pytest.raises(GraphError) as excinfo:
             disagreeing.integrate(on_conflict="error")
         message = str(excinfo.value)
         assert "street" in message and "ElmSt" in message
@@ -241,7 +236,7 @@ class TestConflictPolicies:
         assert row["county"] == "Mpls."  # uncontested values survive
 
     def test_unknown_policy_rejected(self, disagreeing):
-        with pytest.raises(CoreError):
+        with pytest.raises(GraphError):
             disagreeing.integrate(on_conflict="vote")
 
     def test_conflict_metrics_emitted(self, example3):
@@ -254,17 +249,17 @@ class TestConflictPolicies:
             "T",
         )
         tracer = Tracer()
-        multiway = MultiwayIdentifier(
+        graph = IdentityGraph(
             {"R": example3.r, "S": example3.s, "T": t},
             example3.extended_key,
             ilfds=list(example3.ilfds),
             tracer=tracer,
         )
-        multiway.integrate()
+        graph.integrate()
         metrics = tracer.metrics
-        assert metrics.counter("multiway.sources") == 3
-        assert metrics.counter("multiway.clusters") >= 1
-        assert metrics.counter("multiway.conflicts") >= 1
+        assert metrics.counter("entities.sources") == 3
+        assert metrics.counter("entities.clusters") >= 1
+        assert metrics.counter("entities.conflicts") >= 1
 
 
 class TestMultiwayMetrics:
@@ -273,24 +268,24 @@ class TestMultiwayMetrics:
         from repro.observability import Tracer
 
         tracer = Tracer()
-        multiway = MultiwayIdentifier(
+        graph = IdentityGraph(
             three_sources,
             example3.extended_key,
             ilfds=list(example3.ilfds),
             tracer=tracer,
         )
-        return multiway, tracer.metrics
+        return graph, tracer.metrics
 
     def test_clusters_counted_once(self, traced):
-        multiway, metrics = traced
-        multiway.clusters()
-        multiway.conflicts()
-        multiway.integrate()
-        assert metrics.counter("multiway.clusters") == len(multiway.clusters())
+        graph, metrics = traced
+        graph.clusters()
+        graph.conflicts()
+        graph.integrate()
+        assert metrics.counter("entities.clusters") == len(graph.clusters())
 
     def test_ilfd_metrics_emitted(self, traced, three_sources):
-        multiway, metrics = traced
-        multiway.clusters()
+        graph, metrics = traced
+        graph.clusters()
         assert metrics.counter("ilfd.rows_extended") == sum(
             len(relation) for relation in three_sources.values()
         )
@@ -310,12 +305,12 @@ class TestMultiwayMetrics:
             ("name", "speciality", "note"),
             "B",
         )
-        multiway = MultiwayIdentifier(
+        graph = IdentityGraph(
             {"R": example3.r, "B": b},
             example3.extended_key,
             ilfds=list(example3.ilfds),
         )
-        assert [key[0] for key in multiway.verify().violations["B"]] == [
+        assert [v.key[0] for v in graph.verify().by_source()["B"]] == [
             "Anjuman",
             "TwinCities",
         ]

@@ -84,6 +84,49 @@ class TestIdentifyMultiwayRouting:
         )
         assert status == 2
 
+    def test_unsound_key_names_each_violation(self, three_csvs, tmp_path, capsys):
+        twice = tmp_path / "B.csv"
+        twice.write_text("name,speciality,note\nAnjuman,Mughalai,a\nAnjuman,Mughalai,b\n")
+        r, _, _ = three_csvs
+        status = main(
+            [
+                "identify", "--source", f"R={r}", "--source", f"B={twice}",
+                "--key", "R=name,speciality", "--key", "B=name,speciality,note",
+                "--extended-key", "name,speciality",
+            ]
+        )
+        assert status == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "uniqueness VIOLATED: B models ('Anjuman', 'Mughalai') 2 times"
+        )
+
+    def test_matched_pair_declared_distinct_is_fatal(self, tmp_path, capsys):
+        # The same input 'entities build' refuses: the match fires the
+        # speciality=Hunan -> cuisine=Chinese dual.
+        args = ["identify"]
+        for name in ("A", "B"):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("name,speciality,cuisine\nTwinCities,Hunan,Thai\n")
+            args += ["--source", f"{name}={path}", "--key", f"{name}=name,speciality"]
+        args += [
+            "--extended-key", "name,cuisine,speciality",
+            "--ilfd", "speciality=Hunan -> cuisine=Chinese",
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro identify: ") and "TwinCities" in line
+        assert captured.out == ""
+
+    def test_unusable_extended_key_is_fatal(self, three_csvs, capsys):
+        args = source_args(three_csvs)
+        args[args.index("--extended-key") + 1] = "name,nope"
+        assert main(["identify"] + args) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro identify: ") and "nope" in line
+        assert captured.out == ""
+
 
 class TestEntitiesBuild:
     def test_build_show_export_round_trip(self, three_csvs, tmp_path, capsys):

@@ -222,7 +222,8 @@ class TestObservability:
             tracer=tracer,
         ).clusters()
         names = {span.name for span in tracer.spans()}
-        assert {"multiway.extend", "multiway.cluster", "entities.closure"} <= names
+        assert {"entities.extend", "entities.closure"} <= names
+        assert not {name for name in names if name.startswith("multiway.")}
         assert not {name for name in names if name.startswith("identify.")}
         assert "entities.pairwise" not in names
 

@@ -1,8 +1,8 @@
-"""Property tests: multiway identification on generated 3-way splits.
+"""Property tests: N-way identification on generated 3-way splits.
 
 For any seeded universe split into three overlapping sources:
 
-- every pairwise projection of the multiway clusters equals the
+- every pairwise projection of the identity-graph clusters equals the
   corresponding two-way EntityIdentifier run,
 - every pairwise projection is sound against the split's ground truth,
 - cluster membership is transitive by construction.
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.identifier import EntityIdentifier
-from repro.core.multiway import MultiwayIdentifier
+from repro.entities import IdentityGraph
 from repro.workloads import SideSpec, split_universe_many
 from repro.workloads.restaurants import RestaurantWorkloadSpec, _generate_universe
 
@@ -36,7 +36,7 @@ def _build(seed):
 @given(seed=st.integers(min_value=0, max_value=3_000))
 def test_pairwise_projection_equals_two_way(seed):
     relations, _, ilfds = _build(seed)
-    multiway = MultiwayIdentifier(
+    graph = IdentityGraph(
         relations, ("name", "cuisine", "speciality"), ilfds=ilfds
     )
     for first, second in (("A", "B"), ("A", "C"), ("B", "C")):
@@ -47,18 +47,18 @@ def test_pairwise_projection_equals_two_way(seed):
             ilfds=ilfds,
             derive_ilfd_distinctness=False,
         ).matching_table()
-        assert multiway.pairwise_pairs(first, second) == two_way.pairs()
+        assert graph.pairwise_pairs(first, second) == two_way.pairs()
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=3_000))
 def test_pairwise_projection_sound_against_truth(seed):
     relations, truth, ilfds = _build(seed)
-    multiway = MultiwayIdentifier(
+    graph = IdentityGraph(
         relations, ("name", "cuisine", "speciality"), ilfds=ilfds
     )
     for (first, second), expected in truth.items():
-        declared = multiway.pairwise_pairs(first, second)
+        declared = graph.pairwise_pairs(first, second)
         assert declared <= expected  # soundness on every source pair
 
 
@@ -66,12 +66,12 @@ def test_pairwise_projection_sound_against_truth(seed):
 @given(seed=st.integers(min_value=0, max_value=3_000))
 def test_cluster_transitivity(seed):
     relations, _, ilfds = _build(seed)
-    multiway = MultiwayIdentifier(
+    graph = IdentityGraph(
         relations, ("name", "cuisine", "speciality"), ilfds=ilfds
     )
-    ab = multiway.pairwise_pairs("A", "B")
-    bc = multiway.pairwise_pairs("B", "C")
-    ac = multiway.pairwise_pairs("A", "C")
+    ab = graph.pairwise_pairs("A", "B")
+    bc = graph.pairwise_pairs("B", "C")
+    ac = graph.pairwise_pairs("A", "C")
     b_to_a = {}
     for a_key, b_key in ab:
         b_to_a.setdefault(b_key, set()).add(a_key)

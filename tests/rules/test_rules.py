@@ -291,12 +291,3 @@ class TestRuleEngine:
         grown = engine.with_rules(identity_rules=[extended_key_rule(["name"])])
         assert len(grown.identity_rules) == 2
         assert len(engine.identity_rules) == 1
-
-    def test_explain_strings(self):
-        engine = self._engine()
-        a = {"name": "x", "cuisine": "Indian", "speciality": "Mughalai"}
-        assert "MATCH" in engine.explain(a, dict(a))
-        b = {"name": "y", "cuisine": "Greek", "speciality": "Gyros"}
-        assert "NON-MATCH" in engine.explain(a, b)
-        c = {"name": "x", "cuisine": NULL, "speciality": NULL}
-        assert "UNKNOWN" in engine.explain(c, c)

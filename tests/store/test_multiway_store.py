@@ -1,8 +1,8 @@
-"""Multiway clusters through the store: persist, reload, project.
+"""N-way clusters through the store: persist, reload, project.
 
 The serving layer renders entity clusters by grouping persisted rows on
 the ``ext_key`` column; these tests pin that grouping to
-:class:`~repro.core.multiway.MultiwayIdentifier`'s semantics: the
+:class:`~repro.entities.IdentityGraph`'s semantics: the
 store-reconstructed clusters are bit-identical across save/reload, and
 their pairwise projection agrees with :class:`EntityIdentifier`.
 """
@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.core.identifier import EntityIdentifier
-from repro.core.multiway import MultiwayIdentifier
+from repro.entities import IdentityGraph
 from repro.store import SqliteStore
 from repro.store.codec import encode_key
 from repro.workloads import EmployeeWorkloadSpec, employee_workload
@@ -51,7 +51,7 @@ def _store_clusters(store: SqliteStore) -> Dict[str, List[Tuple[str, str]]]:
     """ext_key → sorted (side, encoded key) members, from persisted rows.
 
     Only groups spanning both sides count — the same ≥2-sources rule
-    :meth:`MultiwayIdentifier.clusters` applies.
+    :meth:`IdentityGraph.clusters` applies.
     """
     groups: Dict[str, List[Tuple[str, str]]] = {}
     for side in ("r", "s"):
@@ -67,8 +67,8 @@ def _store_clusters(store: SqliteStore) -> Dict[str, List[Tuple[str, str]]]:
     }
 
 
-def _multiway(workload) -> MultiwayIdentifier:
-    return MultiwayIdentifier(
+def _graph(workload) -> IdentityGraph:
+    return IdentityGraph(
         {"r": workload.r, "s": workload.s},
         list(workload.extended_key),
         ilfds=list(workload.ilfds),
@@ -78,7 +78,7 @@ def _multiway(workload) -> MultiwayIdentifier:
 class TestClusterPersistence:
     def test_store_groups_match_multiway_clusters(self, workload, persisted):
         path, _result = persisted
-        multiway = _multiway(workload)
+        graph = _graph(workload)
         expected = {}
         key_attrs = {
             "r": tuple(
@@ -96,7 +96,7 @@ class TestClusterPersistence:
 
         store = SqliteStore(path, read_only=True)
         try:
-            for cluster in multiway.clusters():
+            for cluster in graph.clusters():
                 # Canonical text of the cluster's K_Ext values, derived
                 # the same way the store computes ext_key for its rows.
                 _member_side, member_row = cluster.members[0]
@@ -146,17 +146,17 @@ class TestPairwiseAgreement:
         self, workload, persisted
     ):
         _path, result = persisted
-        multiway = _multiway(workload)
-        projected = multiway.pairwise_pairs("r", "s")
+        graph = _graph(workload)
+        projected = graph.pairwise_pairs("r", "s")
         identified = frozenset(result.matching.pairs())
         assert projected == identified
 
     def test_store_matches_equal_multiway_projection(self, workload, persisted):
         path, _result = persisted
-        multiway = _multiway(workload)
+        graph = _graph(workload)
         store = SqliteStore(path, read_only=True)
         try:
             stored = frozenset(pair for pair, _rows in store.match_items())
         finally:
             store.close()
-        assert stored == multiway.pairwise_pairs("r", "s")
+        assert stored == graph.pairwise_pairs("r", "s")
