@@ -51,18 +51,14 @@ from repro.core.explain import MatchExplanation, ValueProvenance, explain_match
 from repro.core.soundness import SoundnessReport, verify_soundness
 from repro.core.monotonicity import KnowledgeIncrement, MonotonicityTracker
 from repro.core.diagnostics import (
-    ConflictPolicy,
     HomonymCandidate,
-    UnresolvedConflictError,
     homonym_candidates,
-    resolve_conflicts,
 )
 from repro.rules.engine import MatchStatus
 
 __all__ = [
     "AttributeConflict",
     "AttributeCorrespondence",
-    "ConflictPolicy",
     "ConsistencyError",
     "CoreError",
     "HomonymCandidate",
@@ -81,7 +77,6 @@ __all__ = [
     "PossibleIntraMatch",
     "SoundnessError",
     "SoundnessReport",
-    "UnresolvedConflictError",
     "ValueProvenance",
     "algebraic_matching_table",
     "explain_match",
@@ -89,6 +84,5 @@ __all__ = [
     "homonym_candidates",
     "identification_report",
     "integrate",
-    "resolve_conflicts",
     "verify_soundness",
 ]

@@ -1,30 +1,26 @@
-"""Instance-level diagnostics: homonyms and attribute-value conflicts.
+"""Instance-level diagnostics: homonyms.
 
 Section 2 separates two instance-level problems.  Entity identification
-itself is handled by the identifier; this module surfaces the material
-the DBA needs around it:
-
-- **instance-level homonyms** ("the same identifier is used for
-  different real-world entities in different databases", for which
-  "there appears to be no fully automatic way"): pairs of tuples that
-  *agree on common attribute values* yet are **not** declared matching —
-  exactly the pairs a naive value-equivalence matcher would get wrong;
-- **attribute value conflicts** ("can be performed only after the
-  entity-identification problem has been resolved"): matched pairs whose
-  common attributes disagree, with resolution policies for building the
-  merged view.
+itself is handled by the identifier; this module surfaces the
+**instance-level homonyms** ("the same identifier is used for different
+real-world entities in different databases", for which "there appears
+to be no fully automatic way"): pairs of tuples that *agree on common
+attribute values* yet are **not** declared matching — exactly the pairs
+a naive value-equivalence matcher would get wrong.  The other problem,
+**attribute value conflicts** ("can be performed only after the
+entity-identification problem has been resolved"), is
+``IntegratedTable.conflicts`` and, for N sources, the survivorship
+decisions of :mod:`repro.entities`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.matching_table import KeyValues, MatchingTable, key_values
-from repro.relational.nulls import NULL, is_null
+from repro.relational.nulls import is_null
 from repro.relational.relation import Relation
-from repro.relational.row import Row
 
 
 @dataclass(frozen=True)
@@ -91,66 +87,3 @@ def homonym_candidates(
                 continue
             out.append(HomonymCandidate(pair[0], pair[1], agreeing))
     return out
-
-
-class ConflictPolicy(enum.Enum):
-    """How to resolve attribute-value conflicts in the merged view."""
-
-    PREFER_R = "prefer_r"
-    PREFER_S = "prefer_s"
-    NULL_OUT = "null_out"
-    STRICT = "strict"
-
-
-class UnresolvedConflictError(Exception):
-    """STRICT resolution hit a conflicting matched pair."""
-
-
-def resolve_conflicts(
-    integrated: "Relation",
-    shared_attributes: Sequence[str],
-    *,
-    policy: ConflictPolicy = ConflictPolicy.PREFER_R,
-    r_prefix: str = "r_",
-    s_prefix: str = "s_",
-) -> Tuple[List[Row], List[str]]:
-    """Resolve each shared attribute of a prefixed T_RS relation.
-
-    Returns (resolved rows over unprefixed shared attributes + the rest,
-    human-readable conflict log).  With ``STRICT`` the first conflict
-    raises :class:`UnresolvedConflictError`.
-    """
-    log: List[str] = []
-    resolved: List[Row] = []
-    for row in integrated:
-        values: Dict[str, Any] = {}
-        for name in integrated.schema.names:
-            bare = None
-            if name.startswith(r_prefix) and name[len(r_prefix):] in shared_attributes:
-                bare = name[len(r_prefix):]
-            elif name.startswith(s_prefix) and name[len(s_prefix):] in shared_attributes:
-                continue  # handled together with the r_ column
-            if bare is None:
-                values[name] = row[name]
-                continue
-            r_value = row[r_prefix + bare]
-            s_value = row[s_prefix + bare]
-            if is_null(r_value):
-                values[bare] = s_value
-            elif is_null(s_value) or r_value == s_value:
-                values[bare] = r_value
-            else:
-                message = (
-                    f"conflict on {bare!r}: R={r_value!r} vs S={s_value!r}"
-                )
-                log.append(message)
-                if policy is ConflictPolicy.STRICT:
-                    raise UnresolvedConflictError(message)
-                if policy is ConflictPolicy.PREFER_R:
-                    values[bare] = r_value
-                elif policy is ConflictPolicy.PREFER_S:
-                    values[bare] = s_value
-                else:  # NULL_OUT: agree to disagree
-                    values[bare] = NULL
-        resolved.append(Row(values))
-    return resolved, log

@@ -9,9 +9,11 @@ Following the prototype's output (Section 6), the integrated table keeps
 both sides' attribute namespaces, prefixed ``r_`` / ``s_``: a matched pair
 contributes one row holding both tuples' values; an unmatched tuple
 contributes a row whose other side is all NULL.  :meth:`IntegratedTable.merged_view`
-additionally coalesces each unified attribute into a single column,
-surfacing any attribute-value conflicts (which the paper defers to a
-separate resolution step after identification).
+additionally coalesces each unified attribute into a single column, and
+:meth:`IntegratedTable.conflicts` surfaces the attribute-value conflicts
+(which the paper defers to a separate resolution step after
+identification; ``IdentityGraph.integrate(on_conflict=...)`` and the
+survivorship chains are that step).
 """
 
 from __future__ import annotations
@@ -51,17 +53,22 @@ class PossibleIntraMatch:
 
 @dataclass(frozen=True)
 class AttributeConflict:
-    """A matched pair disagreeing on a unified attribute's value."""
+    """Matched tuples disagreeing on one attribute's value.
 
+    ``key`` names the match: the T_RS row in
+    :meth:`IntegratedTable.conflicts`, the cluster's extended-key values
+    in ``IdentityGraph.conflicts``.  ``values`` lists every non-NULL
+    candidate as ``(source, value)`` in source order — at least two
+    distinct values, or the attribute would not be a conflict.
+    """
+
+    key: Any
     attribute: str
-    r_value: Any
-    s_value: Any
-    row: Row
+    values: Tuple[Tuple[str, Any], ...]
 
     def __str__(self) -> str:
-        return (
-            f"conflict on {self.attribute!r}: R says {self.r_value!r}, "
-            f"S says {self.s_value!r}"
+        return f"conflict on {self.attribute!r}: " + ", ".join(
+            f"{source} says {value!r}" for source, value in self.values
         )
 
 
@@ -107,7 +114,9 @@ class IntegratedTable:
                 r_value = row[self._r_prefix + attr]
                 s_value = row[self._s_prefix + attr]
                 if not is_null(r_value) and not is_null(s_value) and r_value != s_value:
-                    out.append(AttributeConflict(attr, r_value, s_value, row))
+                    out.append(
+                        AttributeConflict(row, attr, (("R", r_value), ("S", s_value)))
+                    )
         return out
 
     def possible_intra_matches(
@@ -144,39 +153,6 @@ class IntegratedTable:
                             first, second, tuple(agreeing), tuple(unknown)
                         )
                     )
-        return out
-
-    def resolved_view(self, policy: "ConflictPolicy" = None) -> Relation:  # type: ignore[assignment]
-        """Merged view under an explicit conflict-resolution policy.
-
-        The paper defers attribute-value conflict resolution to after
-        identification; this is that step.  See
-        :class:`repro.core.diagnostics.ConflictPolicy` — ``PREFER_R``,
-        ``PREFER_S``, ``NULL_OUT`` (conflicting values become NULL), or
-        ``STRICT`` (raise on the first conflict).
-        """
-        from repro.core.diagnostics import ConflictPolicy, resolve_conflicts
-
-        if policy is None:
-            policy = ConflictPolicy.PREFER_R
-        shared = [a for a in self._r_attributes if a in self._s_attributes]
-        rows, _ = resolve_conflicts(
-            self._relation,
-            shared,
-            policy=policy,
-            r_prefix=self._r_prefix,
-            s_prefix=self._s_prefix,
-        )
-        if not rows:
-            return self.merged_view()
-        names = list(rows[0])
-        schema = Schema([Attribute(n) for n in names])
-        out = Relation(schema, (), name="T_RS(resolved)", enforce_keys=False)
-        deduped: Dict[Row, None] = {}
-        for row in rows:
-            deduped.setdefault(row)
-        out._rows = tuple(deduped)
-        out._row_set = frozenset(deduped)
         return out
 
     def merged_view(self) -> Relation:

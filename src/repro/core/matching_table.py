@@ -17,7 +17,7 @@ Both tables enforce the paper's constraints on construction:
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.errors import ConsistencyError, SoundnessError
 from repro.relational.attribute import Attribute
@@ -179,20 +179,6 @@ class MatchingTable(_PairTable):
                 f"R keys matched to multiple S tuples: {violations['R']}; "
                 f"S keys matched to multiple R tuples: {violations['S']}"
             )
-
-    def partner_of_r(self, r_key: KeyValues) -> Optional[MatchEntry]:
-        """The entry matching the given R key, if any (first occurrence)."""
-        for entry in self._entries:
-            if entry.r_key == r_key:
-                return entry
-        return None
-
-    def partner_of_s(self, s_key: KeyValues) -> Optional[MatchEntry]:
-        """The entry matching the given S key, if any (first occurrence)."""
-        for entry in self._entries:
-            if entry.s_key == s_key:
-                return entry
-        return None
 
 
 class NegativeMatchingTable(_PairTable):

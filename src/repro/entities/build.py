@@ -167,11 +167,7 @@ def build_entity_store(
     names = graph.source_names
     extended = graph.extended()
     key_attrs = list(graph.extended_key.attributes)
-    attribute_order: List[str] = []
-    for relation in extended.values():
-        for attr in relation.schema.names:
-            if attr not in attribute_order:
-                attribute_order.append(attr)
+    attribute_order = graph.attribute_order()
     source_keys: Dict[str, Tuple[str, ...]] = {
         name: graph.source_key_attributes(name) for name in names
     }

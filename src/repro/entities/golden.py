@@ -11,12 +11,11 @@ so the persisted resolution log can explain each golden value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Mapping, Sequence, Tuple
 
 from repro.core.matching_table import key_values
 from repro.entities.graph import EntityCluster
-from repro.entities.survivorship import Candidate, Decision, SurvivorshipPolicy
-from repro.relational.nulls import NULL, is_null
+from repro.entities.survivorship import Decision, SurvivorshipPolicy, decide_cluster
 from repro.relational.row import Row
 from repro.store.codec import KeyValues
 from repro.store.entity import (
@@ -68,8 +67,8 @@ def build_golden(
 ) -> GoldenEntity:
     """Merge one cluster into its golden entity.
 
-    *attribute_order* fixes the record's attribute layout (the union of
-    the extended schemas in declaration order); *source_key_attributes*
+    *attribute_order* fixes the record's attribute layout
+    (:meth:`IdentityGraph.attribute_order`); *source_key_attributes*
     maps each source to its primary-key attributes so member identities
     — and through them the canonical entity id — are key-based, not
     row-content-based.
@@ -80,28 +79,14 @@ def build_golden(
     )
     entity_id = canonical_entity_id(members, prefix=prefix)
 
-    candidates_by_attr: Dict[str, List[Candidate]] = {}
-    for (source, row), (_, member_key) in zip(cluster.members, members):
-        for attr in row:
-            value = row[attr]
-            if is_null(value):
-                continue
-            candidates_by_attr.setdefault(attr, []).append(
-                Candidate(source=source, key=member_key, value=value, row=row)
-            )
-
-    decisions: List[Decision] = []
-    values: Dict[str, Any] = {}
-    for attr in attribute_order:
-        decision = policy.decide(attr, candidates_by_attr.get(attr, []))
-        decisions.append(decision)
-        values[attr] = decision.value if decision.source is not None else NULL
-
+    decisions = decide_cluster(
+        cluster.members, [key for _, key in members], attribute_order, policy
+    )
     return GoldenEntity(
         entity_id=entity_id,
         key=cluster.key,
         cluster=cluster,
-        record=Row(values),
+        record=Row({decision.attribute: decision.value for decision in decisions}),
         members=members,
-        decisions=tuple(decisions),
+        decisions=decisions,
     )

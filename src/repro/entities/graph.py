@@ -15,6 +15,9 @@ repair.  :class:`IdentityGraph`:
 3. verifies the generalized uniqueness constraint: within one source,
    no two tuples share a complete extended-key value (§3.1),
 4. integrates: one row per entity over the union of the source schemas,
+   read off the survivorship decisions
+   (:func:`~repro.entities.survivorship.decide_cluster`) golden records
+   are made from,
 
 and offers an on-demand pairwise pipeline
 (:meth:`IdentityGraph.pair_result`) that resolution itself never runs.
@@ -54,8 +57,10 @@ from repro.blocking.base import Blocker
 from repro.core.consistency import MatchCheck, check_matches, dual_rules
 from repro.core.extended_key import ExtendedKey
 from repro.core.identifier import EntityIdentifier, IdentificationResult
+from repro.core.integration import AttributeConflict
 from repro.core.matching_table import KeyValues, key_values
 from repro.entities.errors import GraphError
+from repro.entities.survivorship import Decision, SurvivorshipPolicy, decide_cluster
 from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.observability.tracer import NO_OP_TRACER, Tracer
@@ -77,8 +82,9 @@ __all__ = [
 ]
 
 CONFLICT_POLICIES = ("first", "error", "null")
-"""Integrate's attribute-collision policies: first non-NULL in source
-order wins / raise on any disagreement / blank disagreeing attributes."""
+"""Integrate's terminal behaviours over the empty survivorship chain's
+decisions: keep each pick (first non-NULL in source order) / raise at
+the first contested decision / blank contested decisions."""
 
 
 @dataclass(frozen=True)
@@ -102,20 +108,6 @@ class EntityCluster:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class AttributeConflict:
-    """Sources disagree on one attribute of one matched entity.
-
-    ``values`` lists every non-NULL candidate as ``(source, value)`` in
-    cluster member order — at least two distinct values, or the
-    attribute would not be a conflict.
-    """
-
-    key: Tuple[Any, ...]
-    attribute: str
-    values: Tuple[Tuple[str, Any], ...]
 
 
 def cluster_fingerprint(clusters: Sequence[EntityCluster]) -> str:
@@ -240,6 +232,9 @@ class IdentityGraph:
         self._identifiers: Dict[FrozenSet[str], EntityIdentifier] = {}
         self._results: Dict[FrozenSet[str], IdentificationResult] = {}
         self._clusters: Optional[List[EntityCluster]] = None
+        self._decided: Optional[
+            List[Tuple[EntityCluster, Tuple[Decision, ...]]]
+        ] = None
         if self._tracer.enabled:
             self._tracer.metrics.inc("entities.sources", len(self._sources))
 
@@ -431,8 +426,9 @@ class IdentityGraph:
     # ------------------------------------------------------------------
     # Integration
     # ------------------------------------------------------------------
-    def _attribute_order(self) -> List[str]:
-        """Union of the extended schemas, in declaration order."""
+    def attribute_order(self) -> List[str]:
+        """Union of the extended schemas, in declaration order: the
+        layout of integrated rows and golden records."""
         ordered: List[str] = []
         for relation in self.extended().values():
             for attr in relation.schema.names:
@@ -440,57 +436,80 @@ class IdentityGraph:
                     ordered.append(attr)
         return ordered
 
-    def _cluster_candidates(
-        self, cluster: EntityCluster
-    ) -> Dict[str, List[Tuple[str, Any]]]:
-        """Non-NULL candidate values per attribute, in member order."""
-        candidates: Dict[str, List[Tuple[str, Any]]] = {}
-        for source, row in cluster.members:
-            for attr in row:
-                value = row[attr]
-                if is_null(value):
-                    continue
-                candidates.setdefault(attr, []).append((source, value))
-        return candidates
+    def _decisions(self) -> List[Tuple[EntityCluster, Tuple[Decision, ...]]]:
+        """Each cluster's decisions under the empty survivorship chain.
+
+        Computed once, in :meth:`clusters` order and
+        :meth:`attribute_order`; the contested ones are counted in the
+        ``entities.conflicts`` metric here, so however often
+        :meth:`conflicts` and :meth:`integrate` read them, each
+        disagreement counts once.
+        """
+        if self._decided is None:
+            ordered = self.attribute_order()
+            policy = SurvivorshipPolicy()
+            key_attrs = {name: self.source_key_attributes(name) for name in self._names}
+            self._decided = [
+                (
+                    cluster,
+                    decide_cluster(
+                        cluster.members,
+                        [
+                            key_values(row, key_attrs[name])
+                            for name, row in cluster.members
+                        ],
+                        ordered,
+                        policy,
+                    ),
+                )
+                for cluster in self.clusters()
+            ]
+            contested = sum(
+                decision.contested
+                for _, decisions in self._decided
+                for decision in decisions
+            )
+            if self._tracer.enabled and contested:
+                self._tracer.metrics.inc("entities.conflicts", contested)
+        return self._decided
 
     def conflicts(self) -> List[AttributeConflict]:
         """Every attribute collision integration would have to resolve.
 
         An attribute of a cluster is in conflict when two members carry
-        distinct non-NULL values for it.  Deterministic order: clusters
-        in :meth:`clusters` order, attributes in schema-union order.
+        distinct non-NULL values for it — its decision is contested.
+        ``key`` is the cluster's extended-key values and ``values`` the
+        candidates in member order.  Deterministic order: clusters in
+        :meth:`clusters` order, attributes in :meth:`attribute_order`.
         """
-        ordered = self._attribute_order()
-        out: List[AttributeConflict] = []
-        for cluster in self.clusters():
-            candidates = self._cluster_candidates(cluster)
-            for attr in ordered:
-                values = candidates.get(attr, [])
-                if len({value for _, value in values}) > 1:
-                    out.append(AttributeConflict(cluster.key, attr, tuple(values)))
-        if self._tracer.enabled and out:
-            self._tracer.metrics.inc("entities.conflicts", len(out))
-        return out
+        return [
+            AttributeConflict(cluster.key, decision.attribute, decision.considered)
+            for cluster, decisions in self._decisions()
+            for decision in decisions
+            if decision.contested
+        ]
 
     def integrate(
         self, *, source_column: str = "sources", on_conflict: str = "first"
     ) -> Relation:
         """One row per real-world entity, over the union of the schemas.
 
-        Matched clusters coalesce attribute-wise; unmatched tuples
-        survive NULL-padded.  When members disagree on a non-key
-        attribute, *on_conflict* decides — deterministically, never by
-        dict iteration accident:
+        A matched cluster's row holds its survivorship decisions under
+        the empty chain (:class:`~repro.entities.survivorship.SurvivorshipPolicy`):
+        per attribute, the first non-NULL value in source declaration
+        order.  Unmatched tuples survive NULL-padded.  *on_conflict* is
+        the terminal behaviour for a contested decision (members carry
+        distinct non-NULL values):
 
-        - ``"first"`` (default): the first non-NULL value in source
-          declaration order wins (the disagreement is still counted in
-          the ``entities.conflicts`` metric; use :meth:`conflicts` for
-          the full diagnostic),
+        - ``"first"`` (default): keep the pick (the disagreement is
+          still counted in the ``entities.conflicts`` metric; use
+          :meth:`conflicts` for the full diagnostic),
         - ``"error"``: raise :class:`GraphError` naming the first
-          conflicting cluster and attribute,
+          contested cluster and attribute,
         - ``"null"``: blank the contested attribute — the integrated
           row asserts nothing the sources dispute.
 
+        Other survivorship chains are ``entities build --survivorship``'s.
         The *source_column* records provenance (comma-joined source
         names), which also keeps coincidentally identical unmatched
         tuples from different sources apart.
@@ -500,7 +519,7 @@ class IdentityGraph:
                 f"unknown conflict policy {on_conflict!r}; "
                 f"expected one of {CONFLICT_POLICIES}"
             )
-        ordered = self._attribute_order()
+        ordered = self.attribute_order()
         if source_column in ordered:
             raise GraphError(
                 f"source column {source_column!r} collides with a source attribute"
@@ -510,29 +529,24 @@ class IdentityGraph:
         with self._tracer.span("entities.integrate", on_conflict=on_conflict):
             rows: List[Row] = []
             clustered: set = set()
-            conflict_count = 0
-            for cluster in self.clusters():
-                for _, row in cluster.members:
-                    clustered.add(row)
-                candidates = self._cluster_candidates(cluster)
-                values: Dict[str, Any] = {attr: NULL for attr in ordered}
-                for attr in ordered:
-                    attr_values = candidates.get(attr, [])
-                    if len({value for _, value in attr_values}) > 1:
-                        conflict_count += 1
+            for cluster, decisions in self._decisions():
+                clustered.update(row for _, row in cluster.members)
+                values: Dict[str, Any] = {}
+                for decision in decisions:
+                    value = decision.value
+                    if decision.contested:
                         if on_conflict == "error":
                             raise GraphError(
-                                f"sources disagree on {attr!r} for entity "
-                                f"{cluster.key!r}: "
+                                f"sources disagree on {decision.attribute!r} "
+                                f"for entity {cluster.key!r}: "
                                 + ", ".join(
-                                    f"{source}={value!r}"
-                                    for source, value in attr_values
+                                    f"{source}={seen!r}"
+                                    for source, seen in decision.considered
                                 )
                             )
                         if on_conflict == "null":
-                            continue  # values[attr] stays NULL
-                    if attr_values:
-                        values[attr] = attr_values[0][1]
+                            value = NULL
+                    values[decision.attribute] = value
                 values[source_column] = ",".join(cluster.sources)
                 rows.append(Row(values))
             for name, relation in self.extended().items():
@@ -544,8 +558,6 @@ class IdentityGraph:
                         values[attr] = row[attr]
                     values[source_column] = name
                     rows.append(Row(values))
-            if self._tracer.enabled and conflict_count:
-                self._tracer.metrics.inc("entities.conflicts", conflict_count)
 
         out = Relation(schema, (), name="T_multi", enforce_keys=False)
         deduped: Dict[Row, None] = {}

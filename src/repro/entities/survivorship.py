@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.entities.errors import SurvivorshipError
 from repro.relational.nulls import NULL, is_null
@@ -34,6 +34,7 @@ __all__ = [
     "NewestValueRule",
     "SurvivorshipPolicy",
     "SURVIVORSHIP_RULES",
+    "decide_cluster",
     "make_survivorship",
 ]
 
@@ -93,8 +94,8 @@ class SourcePriorityRule(SurvivorshipRule):
     With an explicit *order*, sources listed earlier outrank later ones
     (unlisted sources rank last, in candidate order).  Without one, the
     candidate order itself — source declaration order — is the
-    priority, which reproduces ``IdentityGraph.integrate``'s
-    first-non-NULL-wins semantics exactly.
+    priority: the first non-NULL value wins, the empty chain's pick and
+    so ``IdentityGraph.integrate``'s.
     """
 
     name = "source_priority"
@@ -219,6 +220,35 @@ class SurvivorshipPolicy:
             attribute, picked.value, picked.source,
             SourcePriorityRule.name, considered, contested,
         )
+
+
+def decide_cluster(
+    members: Sequence[Tuple[str, Row]],
+    member_keys: Sequence[KeyValues],
+    attribute_order: Sequence[str],
+    policy: SurvivorshipPolicy,
+) -> Tuple[Decision, ...]:
+    """One matched entity's decision per attribute, in *attribute_order*.
+
+    *members* are the cluster's ``(source, row)`` tuples in member
+    order and *member_keys* their primary-key values; each member's
+    non-NULL values become that attribute's candidates, in member
+    order.  The one value merge: golden records and the identity
+    graph's ``integrate``/``conflicts`` are all read off these
+    decisions.
+    """
+    candidates: Dict[str, List[Candidate]] = {}
+    for (source, row), key in zip(members, member_keys):
+        for attr in row:
+            value = row[attr]
+            if is_null(value):
+                continue
+            candidates.setdefault(attr, []).append(
+                Candidate(source=source, key=key, value=value, row=row)
+            )
+    return tuple(
+        policy.decide(attr, candidates.get(attr, ())) for attr in attribute_order
+    )
 
 
 SURVIVORSHIP_RULES = ("source_priority", "most_complete", "longest", "newest")

@@ -89,12 +89,6 @@ class Row(Mapping[str, Any]):
             merged[name] = value
         return Row(merged)
 
-    def with_value(self, name: str, value: Any) -> "Row":
-        """Row with *name* set to *value*, unconditionally."""
-        merged = dict(self._values)
-        merged[name] = value
-        return Row(merged)
-
     def values_for(self, names: Iterable[str]) -> Tuple[Any, ...]:
         """Values of *names*, as a tuple in the given order."""
         return tuple(self[name] for name in names)

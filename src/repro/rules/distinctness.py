@@ -59,24 +59,6 @@ class DistinctnessRule:
             *(pred.evaluate(row1, row2) for pred in self._predicates)
         )
 
-    def symmetrised(self) -> "DistinctnessRule":
-        """The same rule with e1/e2 swapped.
-
-        Distinctness is symmetric, but a rule's predicate text is not;
-        engines typically evaluate both orientations.
-        """
-        from repro.rules.predicates import EntityRef
-
-        def flip(term):
-            if isinstance(term, EntityRef):
-                return EntityRef(3 - term.entity, term.attribute)
-            return term
-
-        return DistinctnessRule(
-            [Predicate(flip(p.left), p.op, flip(p.right)) for p in self._predicates],
-            name=self.name + "~" if self.name else "",
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistinctnessRule):
             return NotImplemented

@@ -701,16 +701,6 @@ class MatchStore(abc.ABC):
             previous = entry.seq
         return prefix
 
-    def corrupt_journal_seqs(self) -> List[int]:
-        """Seqs of entries whose stored checksum no longer matches."""
-        checksums = self._journal_checksums()
-        return [
-            entry.seq
-            for entry in self.journal_entries()
-            if checksums.get(entry.seq, "")
-            and checksums[entry.seq] != entry_checksum(entry)
-        ]
-
     # ------------------------------------------------------------------
     # Bulk copy (checkpointing)
     # ------------------------------------------------------------------

@@ -141,13 +141,17 @@ class TestIntegration:
         conflicts = integrated.conflicts()
         assert len(conflicts) == 1
         assert conflicts[0].attribute == "v"
+        assert conflicts[0].values == (("R", "x"), ("S", "DIFFERENT"))
+        assert str(conflicts[0]) == "conflict on 'v': R says 'x', S says 'DIFFERENT'"
 
     def test_core_exports_the_integration_conflict(self):
         import repro.core
         from repro.core import integration
+        from repro.entities import graph
 
         assert repro.core.__all__.count("AttributeConflict") == 1
         assert repro.core.AttributeConflict is integration.AttributeConflict
+        assert graph.AttributeConflict is integration.AttributeConflict
 
 
 class TestSoundnessReport:

@@ -1,18 +1,14 @@
-"""Tests for homonym diagnostics and conflict resolution."""
+"""Tests for homonym diagnostics and attribute-value conflict resolution."""
 
 import pytest
 
-from repro.core.diagnostics import (
-    ConflictPolicy,
-    UnresolvedConflictError,
-    homonym_candidates,
-    resolve_conflicts,
-)
+from repro.core.diagnostics import homonym_candidates
 from repro.core.identifier import EntityIdentifier
-from repro.core.integration import integrate
+from repro.entities import GraphError, IdentityGraph, build_golden, make_survivorship
 from repro.relational.attribute import string_attribute
 from repro.relational.nulls import NULL, is_null
 from repro.relational.relation import Relation
+from repro.relational.row import Row
 from repro.relational.schema import Schema
 
 
@@ -60,36 +56,40 @@ class TestHomonymCandidates:
 
 
 class TestConflictResolution:
-    def _integrated(self, r_value="x", s_value="y"):
+    """The two-source conflict choices, on the identity graph's value merge:
+    ``first`` keeps R's value, a ``source_priority:S>R`` chain S's,
+    ``null`` blanks it and ``error`` refuses it."""
+
+    def _graph(self, r_value="x", s_value="y"):
         r = rel(["k", "v"], [("1", r_value)], ("k",), "R")
         s = rel(["k", "v"], [("1", s_value)], ("k",), "S")
-        identifier = EntityIdentifier(r, s, ["k"])
-        ext_r, ext_s = identifier.extended_relations()
-        return integrate(ext_r, ext_s, identifier.matching_table())
+        return IdentityGraph({"R": r, "S": s}, ["k"])
 
     def test_prefer_r(self):
-        integrated = self._integrated()
-        resolved = integrated.resolved_view(ConflictPolicy.PREFER_R)
+        resolved = self._graph().integrate(on_conflict="first")
         assert resolved.rows[0]["v"] == "x"
 
     def test_prefer_s(self):
-        integrated = self._integrated()
-        resolved = integrated.resolved_view(ConflictPolicy.PREFER_S)
-        assert resolved.rows[0]["v"] == "y"
+        graph = self._graph()
+        golden = build_golden(
+            graph.clusters()[0],
+            attribute_order=graph.attribute_order(),
+            source_key_attributes={"R": ("k",), "S": ("k",)},
+            policy=make_survivorship("source_priority:S>R"),
+        )
+        assert golden.record["v"] == "y"
 
     def test_null_out(self):
-        integrated = self._integrated()
-        resolved = integrated.resolved_view(ConflictPolicy.NULL_OUT)
+        resolved = self._graph().integrate(on_conflict="null")
         assert is_null(resolved.rows[0]["v"])
 
     def test_strict_raises(self):
-        integrated = self._integrated()
-        with pytest.raises(UnresolvedConflictError):
-            integrated.resolved_view(ConflictPolicy.STRICT)
+        with pytest.raises(GraphError):
+            self._graph().integrate(on_conflict="error")
 
     def test_strict_passes_without_conflicts(self):
-        integrated = self._integrated(r_value="same", s_value="same")
-        resolved = integrated.resolved_view(ConflictPolicy.STRICT)
+        graph = self._graph(r_value="same", s_value="same")
+        resolved = graph.integrate(on_conflict="error")
         assert resolved.rows[0]["v"] == "same"
 
     def test_null_sides_are_not_conflicts(self):
@@ -98,28 +98,30 @@ class TestConflictResolution:
             [string_attribute("k"), string_attribute("v")], keys=[("k",)]
         )
         s = Relation(s_schema, [{"k": "1", "v": NULL}], name="S")
-        identifier = EntityIdentifier(r, s, ["k"])
-        ext_r, ext_s = identifier.extended_relations()
-        integrated = integrate(ext_r, ext_s, identifier.matching_table())
-        resolved = integrated.resolved_view(ConflictPolicy.STRICT)
+        graph = IdentityGraph({"R": r, "S": s}, ["k"])
+        assert graph.conflicts() == []
+        assert EntityIdentifier(r, s, ["k"]).integrate().conflicts() == []
+        resolved = graph.integrate(on_conflict="error")
         assert resolved.rows[0]["v"] == "x"
 
     def test_conflict_log(self):
-        integrated = self._integrated()
-        shared = ["k", "v"]
-        _, log = resolve_conflicts(
-            integrated.relation, shared, policy=ConflictPolicy.PREFER_R
-        )
-        assert len(log) == 1 and "'v'" in log[0]
+        conflicts = self._graph().conflicts()
+        assert len(conflicts) == 1
+        assert str(conflicts[0]) == "conflict on 'v': R says 'x', S says 'y'"
 
     def test_default_policy_matches_merged_view(self, example3):
-        identifier = EntityIdentifier(
+        """On conflict-free data the two-source graph's rows are T_RS's
+        merged view plus the provenance column."""
+        merged = EntityIdentifier(
             example3.r, example3.s, example3.extended_key, ilfds=list(example3.ilfds)
+        ).integrate().merged_view()
+        graph = IdentityGraph(
+            {"R": example3.r, "S": example3.s},
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
         )
-        integrated = identifier.integrate()
-        resolved = integrated.resolved_view()
-        merged = integrated.merged_view()
-        # conflict-free data: the two views carry the same name column
-        assert {row["name"] for row in resolved} == {
-            row["name"] for row in merged
-        }
+        resolved = graph.integrate()
+        assert set(resolved.schema.names) == set(merged.schema.names) | {"sources"}
+        assert {
+            Row({attr: row[attr] for attr in merged.schema.names}) for row in resolved
+        } == set(merged)

@@ -65,13 +65,6 @@ class TestMatchingTable:
         violations = mt.uniqueness_violations()
         assert len(violations["S"]) == 1 and not violations["R"]
 
-    def test_partner_lookup(self):
-        mt = table([entry("a", "b")])
-        e = next(iter(mt))
-        assert mt.partner_of_r(e.r_key) == e
-        assert mt.partner_of_s(e.s_key) == e
-        assert mt.partner_of_r((("cuisine", ""), ("name", "zz"))) is None
-
     def test_to_relation_layout(self):
         mt = table([entry("a", "b", "Chinese", "Hunan")])
         view = mt.to_relation()

@@ -276,6 +276,28 @@ class TestMultiwayMetrics:
         )
         return graph, tracer.metrics
 
+    def test_conflicts_counted_once(self, example3):
+        from repro.observability import Tracer
+
+        t = rel(
+            ["name", "speciality", "street"],
+            [("Anjuman", "Mughalai", "ElmSt")],
+            ("name", "speciality"),
+            "T",
+        )
+        tracer = Tracer()
+        graph = IdentityGraph(
+            {"R": example3.r, "S": example3.s, "T": t},
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+            tracer=tracer,
+        )
+        graph.conflicts()
+        graph.integrate()
+        graph.integrate(on_conflict="null")
+        assert tracer.metrics.counter("entities.conflicts") == len(graph.conflicts())
+        assert len(graph.conflicts()) == 1
+
     def test_clusters_counted_once(self, traced):
         graph, metrics = traced
         graph.clusters()

@@ -10,12 +10,7 @@ from repro.store.entity import canonical_entity_id
 
 @pytest.fixture
 def cluster_tools(graph):
-    attribute_order = []
-    for relation in graph.extended().values():
-        for attr in relation.schema.names:
-            if attr not in attribute_order:
-                attribute_order.append(attr)
-    attribute_order = tuple(attribute_order)
+    attribute_order = tuple(graph.attribute_order())
     key_attrs = {
         name: graph.source_key_attributes(name) for name in graph.source_names
     }

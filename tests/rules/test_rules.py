@@ -177,14 +177,6 @@ class TestDistinctnessRule:
                 [Predicate(attr1("a"), Comparator.EQ, lit("x"))]
             )
 
-    def test_symmetrised(self):
-        rule = self._r3()
-        flipped = rule.symmetrised()
-        assert (
-            flipped.applies({"cuisine": "Greek"}, {"speciality": "Mughalai"})
-            is Maybe.TRUE
-        )
-
     def test_null_is_unknown(self):
         rule = self._r3()
         assert (

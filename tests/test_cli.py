@@ -203,3 +203,26 @@ def test_nway_member_keys_print_independent_of_hash_seed(tmp_path):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert "hr:('Ann', 'Sales')" in outputs[0]
+
+
+def test_nway_conflict_metric_counts_each_disagreement_once(tmp_path, capsys):
+    """`identify --source ... --out F --metrics` lists conflicts and then
+    integrates; the counter still reads one per disagreement."""
+    r = tmp_path / "r.csv"
+    r.write_text("name,street\nAnn,Elm\nBob,Oak\n")
+    t = tmp_path / "t.csv"
+    t.write_text("name,street\nAnn,Main\nBob,Oak\n")
+    status = main(
+        [
+            "identify",
+            "--source", f"R={r}", "--source", f"T={t}",
+            "--key", "R=name", "--key", "T=name",
+            "--extended-key", "name",
+            "--out", str(tmp_path / "out.csv"),
+            "--metrics",
+        ]
+    )
+    assert status == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "1 attribute conflict(s) between matched sources" in lines
+    assert ["entities.conflicts", "1"] in [line.split() for line in lines]

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro.core.diagnostics import ConflictPolicy
 from repro.core.identifier import EntityIdentifier
-from repro.core.integration import integrate
+from repro.entities import IdentityGraph
 from repro.relational.nulls import NULL, is_null
 from repro.workloads import RestaurantWorkloadSpec, restaurant_workload
 from repro.workloads.noise import (
@@ -217,9 +216,8 @@ class TestConflictDetectionEndToEnd:
         s_noisy, _ = corrupt_values(
             Relation(schema, [("1", "good")], name="S"), 1.0, seed=1
         )
-        identifier = EntityIdentifier(r, s_noisy, ["k"])
-        ext_r, ext_s = identifier.extended_relations()
-        integrated = integrate(ext_r, ext_s, identifier.matching_table())
-        assert len(integrated.conflicts()) == 1
-        resolved = integrated.resolved_view(ConflictPolicy.NULL_OUT)
+        graph = IdentityGraph({"R": r, "S": s_noisy}, ["k"])
+        assert len(graph.conflicts()) == 1
+        resolved = graph.integrate(on_conflict="null")
+        assert len(resolved) == 1
         assert is_null(resolved.rows[0]["v"])
